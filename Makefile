@@ -1,6 +1,6 @@
 # Convenience targets for the Measures-in-SQL reproduction.
 
-.PHONY: test test-slow bench report snapshot compare shell tpch serve server-smoke replay-smoke examples lint validate all
+.PHONY: test test-slow bench report snapshot compare shell tpch serve server-smoke replay-smoke measurebench examples lint validate all
 
 # The committed perf baseline the regression gate compares against.
 BASELINE ?= benchmarks/BENCH_2026-08-07.json
@@ -43,6 +43,16 @@ server-smoke:
 # require a byte-identical --diff (plus a rejected injected mismatch).
 replay-smoke:
 	python scripts/replay_smoke.py replay/journal.jsonl
+
+# Two seconds of each benchmark workload, then one traced run: fails on a
+# wrong result or a layer entry point the tracer can no longer wrap.
+MEASUREBENCH_WORKLOADS = tpch_cold strategy_auto listings_server_rw
+
+measurebench:
+	@for w in $(MEASUREBENCH_WORKLOADS); do \
+		python3 measurebench/run.py --workload $$w --seed 1 --seconds 2 --trace 0 || exit 1; \
+	done
+	python3 measurebench/run.py --workload listings_server_rw --seed 1 --seconds 2 --trace 1
 
 examples:
 	@for f in examples/*.py; do echo "== $$f =="; python $$f > /dev/null && echo ok; done

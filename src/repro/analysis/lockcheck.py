@@ -51,10 +51,11 @@ GUARDED_MEMBERS = frozenset(
         "execute_script",
         "execute_planned",
         "plan_query",
+        "execute_with_strategy",
         "lint",
-        "_execute_statement",
-        "_execute_plain",
-        "_run_traced_statement",
+        # The statement pipeline's plan/execute/observe entry; its parse
+        # step (_parse) touches no shared state and runs unlocked.
+        "_run_statement",
         "create_table_from_rows",
     ]
 )
@@ -62,11 +63,8 @@ GUARDED_MEMBERS = frozenset(
 #: ``<path relative to repro/>::<dotted function>`` -> justification.
 #: An entry covers the function and everything lexically nested in it.
 ALLOWLIST: dict[str, str] = {
-    "server/session.py::Session._plan_for": (
-        "only called from prepare(), inside its rwlock.read() scope"
-    ),
     "server/session.py::SessionManager.invalidate_for": (
-        "only called from _run_write(), inside its rwlock.write() scope"
+        "only called from Session._run(), inside its rwlock.write() scope"
     ),
     "server/session.py::SessionManager._install_system_tables": (
         "runs in the SessionManager constructor, before the manager is "

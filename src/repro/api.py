@@ -24,14 +24,22 @@ paper's Listing 5), and ``EXPLAIN EXPAND <query>`` does the same inside SQL.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import time
 from typing import Any, Iterable, Optional, Sequence
 
 from repro.catalog import Catalog, MaterializedView, TableSchema
 from repro.catalog.schema import Column
 from repro.engine.evaluator import ExecutionContext
 from repro.engine.executor import execute_plan
-from repro.errors import BindError, CatalogError, SqlError
+from repro.errors import (
+    BindError,
+    CatalogError,
+    InternalError,
+    ResourceExhausted,
+    SqlError,
+)
 from repro.matview import analyze_definition, maintenance, rewrite_query
 from repro.plan.optimizer import optimize
 from repro.result import Result, ResultColumn
@@ -40,7 +48,7 @@ from repro.sql import ast, parse_statement, parse_statements
 from repro.storage.locks import RWLock
 from repro.types import parse_type_name
 
-__all__ = ["Database", "PlannedQuery"]
+__all__ = ["Database", "PlannedQuery", "StatementRecord"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -49,22 +57,84 @@ class PlannedQuery:
 
     Produced by :meth:`Database.plan_query` and replayed by
     :meth:`Database.execute_planned`; the query server's plan cache stores
-    these.  ``relations`` (every relation name the original AST references
-    plus every table the bound plan scans, lowercased) drives cache
-    invalidation; ``strategy``/``plan_shape`` reproduce the plan hash the
-    flip detector watches, so cached replays never look like plan changes.
+    these.  ``query`` is the original (pre-rewrite) query; ``strategy`` is
+    ``"summary"`` when the rewriter answered it from a summary table, else
+    ``"interpreter"``.  The descriptive fields are filled only for a plan
+    someone keeps or watches (see :meth:`Database.plan_query`), so a
+    one-shot execution nobody observes never pays for them: ``sql`` (the
+    canonical text, the plan cache's key), ``relations`` (every relation
+    name the original AST references plus every table the plan scans,
+    lowercased; drives cache invalidation), ``plan_shape`` (with
+    ``strategy``, the plan hash the flip detector watches, so cached
+    replays never look like plan changes) and ``fingerprint`` /
+    ``normalized`` (``repro_stat_statements``).
     """
 
-    sql: str
     query: ast.Query
     plan: Any
     columns: tuple
     strategy: str
     reports: tuple
-    relations: frozenset
-    plan_shape: Optional[str]
-    fingerprint: Optional[str]
-    normalized: Optional[str]
+    sql: Optional[str] = None
+    relations: Optional[frozenset] = None
+    plan_shape: Optional[str] = None
+    fingerprint: Optional[str] = None
+    normalized: Optional[str] = None
+
+
+@dataclasses.dataclass
+class StatementRecord:
+    """One statement as the pipeline's observe step sees it.
+
+    Built once per observed statement and handed, in one place
+    (:meth:`Database._observe`), to every consumer: the metrics,
+    ``repro_stat_statements``, the slow-query log, the traces and the
+    journal.  Only built when telemetry or the recorder is on.
+    """
+
+    #: Canonical text; the raw text when the statement does not parse
+    #: (or cannot be printed).
+    sql: Optional[str]
+    params: Sequence[Any]
+    kind: Optional[str] = None
+    #: ``summary``/``interpreter`` for a planned query, the expansion
+    #: strategy under execute_with_strategy, None otherwise.
+    strategy: Optional[str] = None
+    statement: Optional[ast.Statement] = None
+    fingerprint: Optional[str] = None
+    normalized: Optional[str] = None
+    #: perf_counter() when the plan step began (0.0: never began).
+    started: float = 0.0
+    wall_ms: float = 0.0
+    result: Optional[Result] = None
+    error: Optional[SqlError] = None
+    #: QueryProfile of a query run under a profiler (partial for a query
+    #: that died on its memory budget).
+    profile: Any = None
+    #: Summary-rewrite reports decided by this statement (empty on a plan
+    #: cache hit).
+    reports: tuple = ()
+    plan_shape: Optional[str] = None
+    introspection: bool = False
+
+
+def _describe(statement, params, sql, strategy) -> StatementRecord:
+    """The record of a parsed statement about to be planned."""
+    from repro.sql.printer import to_sql
+    from repro.telemetry import statement_kind
+
+    try:
+        canonical = to_sql(statement)
+    except Exception:
+        canonical = sql
+    return StatementRecord(
+        canonical,
+        params,
+        kind=statement_kind(statement),
+        strategy=strategy,
+        statement=statement,
+        started=time.perf_counter(),
+    )
 
 
 class Database:
@@ -181,12 +251,6 @@ class Database:
         self.last_stats: Optional[ExecutionContext] = None
         #: QueryProfile of the most recent profiled query (see last_profile).
         self._last_profile = None
-        #: CandidateReports of the most recent top-level query's summary
-        #: rewrite (telemetry uses them to label the execution strategy).
-        self._last_rewrite_reports: list = []
-        #: Bound plan of the most recent profiled query (telemetry hashes
-        #: it for plan-flip detection; None when telemetry is off).
-        self._last_plan = None
         from repro.engine.progress import QueryRegistry
 
         #: Per-query memory budget in bytes; None = unlimited.  Mutable:
@@ -215,7 +279,11 @@ class Database:
         # bind and scan normally and simply return no rows.
         install_system_tables(self)
 
-    # -- statement execution ----------------------------------------------
+    # -- the statement pipeline ----------------------------------------------
+    #
+    # parse (_parse) -> plan (plan_query or a plan-cache hit) -> execute
+    # (execute_planned, or _execute_statement) -> observe (_observe), for
+    # every entry point.  See DESIGN.md, "Statement pipeline".
 
     def execute(self, sql: str, params: Sequence[Any] = ()) -> Result:
         """Parse and execute a single SQL statement.
@@ -223,232 +291,264 @@ class Database:
         ``params`` supplies values for positional ``?`` placeholders, in
         order (DB-API style).
         """
-        if self.telemetry is not None:
-            return self._execute_traced(sql, params)
-        if not self.profile_enabled:
-            return self._execute_plain(parse_statement(sql), params)
-        from repro.profile import Profiler
-
-        profiler = Profiler()
-        with profiler.phase("parse"):
-            statement = parse_statement(sql)
-        if isinstance(statement, ast.QueryStatement) and self.recorder is None:
-            # The profiler carries the parse span into the query pipeline so
-            # the finished profile covers the whole statement.
-            return self._run_query(statement.query, params, profiler=profiler)
-        return self._execute_plain(statement, params)
-
-    def execute_script(self, sql: str) -> list[Result]:
-        """Execute a semicolon-separated script; returns one Result each."""
-        if self.telemetry is not None:
-            try:
-                statements = parse_statements(sql)
-            except SqlError as exc:
-                self.telemetry.record_error(exc, sql=sql)
-                raise
-            return [self._run_traced_statement(s) for s in statements]
-        return [self._execute_plain(s) for s in parse_statements(sql)]
-
-    def _execute_traced(self, sql: str, params: Sequence[Any] = ()) -> Result:
-        """Telemetry-on :meth:`execute`: meter, log, and trace the statement."""
-        from repro.profile import Profiler
-
-        profiler = Profiler()
-        try:
-            with profiler.phase("parse"):
-                statement = parse_statement(sql)
-        except SqlError as exc:
-            self.telemetry.record_error(exc, sql=sql)
-            raise
-        return self._run_traced_statement(
+        profiler = self._profiler()
+        statement = self._parse(sql, params, parse_statement, profiler)
+        return self._run_statement(
             statement, params, sql=sql, profiler=profiler
         )
 
-    def _execute_plain(
-        self, statement: ast.Statement, params: Sequence[Any] = ()
-    ) -> Result:
-        """Telemetry-off execution; journals to the recorder when attached.
+    def execute_script(self, sql: str) -> list[Result]:
+        """Execute a semicolon-separated script; returns one Result each."""
+        statements = self._parse(sql, (), parse_statements)
+        return [self._run_statement(s) for s in statements]
 
-        Without a recorder this is exactly ``_execute_statement`` — the
-        zero-overhead path stays zero-overhead.
+    def query(self, sql: str) -> Result:
+        """Alias of :meth:`execute` for read-only use."""
+        return self.execute(sql)
+
+    def _profiler(self):
+        """A fresh Profiler when a consumer wants one (telemetry needs the
+        span tree and counters even with ``profile=False``), else None."""
+        if self.telemetry is None and not self.profile_enabled:
+            return None
+        from repro.profile import Profiler
+
+        return Profiler()
+
+    def _parse(self, sql: str, params, parse, profiler=None, strategy=None):
+        """Step 1: raw text to statement(s) with ``parse``.
+
+        A statement that does not parse is observed like any other failure
+        (its journal entry carries the raw text, so a replay reproduces the
+        error instead of skipping it).
         """
-        if self.recorder is None:
-            return self._execute_statement(statement, params)
-        import time as _time
-
-        from repro.introspect import fingerprint_statement
-        from repro.sql.printer import to_sql
-        from repro.telemetry import statement_kind
-
         try:
-            sql = to_sql(statement)
-        except Exception:
-            sql = None
-        try:
-            fingerprint, _ = fingerprint_statement(statement)
-        except Exception:
-            fingerprint = None
-        kind = statement_kind(statement)
-        start = _time.perf_counter()
-        try:
-            result = self._execute_statement(statement, params)
-        except SqlError as exc:
-            self.recorder.record(
-                sql=sql,
-                params=params,
-                fingerprint=fingerprint,
-                kind=kind,
-                wall_ms=(_time.perf_counter() - start) * 1000.0,
-                error=exc,
+            if profiler is None:
+                return parse(sql)
+            with profiler.phase("parse"):
+                return parse(sql)
+        except Exception as exc:
+            raise self._failed(
+                StatementRecord(sql, params, strategy=strategy), exc
             )
-            raise
-        self.recorder.record(
-            sql=sql,
-            params=params,
-            fingerprint=fingerprint,
-            kind=kind,
-            wall_ms=(_time.perf_counter() - start) * 1000.0,
-            result=result,
-        )
-        return result
 
-    def _run_traced_statement(
+    def _run_statement(
         self,
         statement: ast.Statement,
         params: Sequence[Any] = (),
         *,
         sql: Optional[str] = None,
         profiler=None,
-    ) -> Result:
-        """Execute one parsed statement with telemetry recording.
+        strategy: Optional[str] = None,
+        plans=None,
+        cancel_event=None,
+        plan_only: bool = False,
+    ) -> Optional[Result]:
+        """Plan, execute and observe one parsed statement.
 
-        Queries run under a profiler (telemetry needs the span tree and
-        counters even when ``profile=False``); other statements are wall
-        timed.  Every SqlError is counted in ``errors_total`` before it
-        propagates.
+        ``sql`` is its raw text, if any; ``strategy`` an expansion strategy
+        (:meth:`execute_with_strategy`); ``plans``/``cancel_event`` the
+        server's plan cache and session cancel flag; ``plan_only`` (a
+        server prepare) stops after planning.  With telemetry and the
+        recorder off no :class:`StatementRecord` is built: the bare path
+        is exactly rewrite -> bind -> optimize -> execute.
         """
-        import time as _time
-
-        from repro.introspect import (
-            fingerprint_statement,
-            is_introspection_plan,
-            plan_shape,
-        )
-        from repro.telemetry import statement_kind
-
-        telemetry = self.telemetry
-        kind = statement_kind(statement)
-        if sql is None:
-            from repro.sql.printer import to_sql
-
-            try:
-                sql = to_sql(statement)
-            except Exception:
-                sql = None
-        try:
-            fingerprint, normalized = fingerprint_statement(statement)
-        except Exception:
-            # A statement the printer cannot canonicalize still executes
-            # and is metered; it just has no stat_statements row.
-            fingerprint = normalized = None
-        start = _time.perf_counter()
+        if profiler is None:
+            profiler = self._profiler()
+        record = None
+        if self.telemetry is not None or self.recorder is not None:
+            record = _describe(statement, params, sql, strategy)
         try:
             if isinstance(statement, ast.QueryStatement) and not isinstance(
                 statement.query, ast.ShowStats
             ):
-                if profiler is None:
-                    from repro.profile import Profiler
-
-                    profiler = Profiler()
-                self._last_rewrite_reports = []
-                self._last_plan = None
                 result = self._run_query(
-                    statement.query, params, profiler=profiler
+                    statement, params, record, profiler, strategy, plans,
+                    cancel_event, plan_only,
                 )
-                telemetry.record_query(
-                    kind,
-                    self._last_profile,
-                    rows=len(result.rows),
-                    sql=sql,
-                    reports=self._last_rewrite_reports,
-                    fingerprint=fingerprint,
-                    query_text=normalized,
-                    plan_shape=(
-                        None
-                        if self._last_plan is None
-                        else plan_shape(self._last_plan)
-                    ),
-                    introspection=is_introspection_plan(self._last_plan),
+            elif strategy is not None:
+                raise SqlError("execute_with_strategy() requires a query")
+            else:
+                result = self._execute_statement(statement, params)
+        except Exception as exc:
+            if record is None:
+                record = StatementRecord(
+                    sql, params, strategy=strategy, statement=statement
                 )
-                if self.recorder is not None:
-                    self.recorder.record(
-                        sql=sql,
-                        params=params,
-                        fingerprint=fingerprint,
-                        strategy=(
-                            "summary"
-                            if any(
-                                r.status == "hit"
-                                for r in self._last_rewrite_reports
-                            )
-                            else "interpreter"
-                        ),
-                        kind=kind,
-                        wall_ms=(_time.perf_counter() - start) * 1000.0,
-                        result=result,
-                    )
-                return result
-            result = self._execute_statement(statement, params)
-        except SqlError as exc:
-            from repro.errors import ResourceExhausted
-
-            if isinstance(exc, ResourceExhausted) and profiler is not None:
-                # The budget fired mid-execution; freeze what the profiler
-                # saw up to the failing operator into the slow-query log.
-                telemetry.record_resource_exhausted(
-                    exc, sql=sql, profiler=profiler
-                )
-            telemetry.record_error(
-                exc, sql=sql, fingerprint=fingerprint, query_text=normalized
-            )
-            if self.recorder is not None:
-                self.recorder.record(
-                    sql=sql,
-                    params=params,
-                    fingerprint=fingerprint,
-                    kind=kind,
-                    wall_ms=(_time.perf_counter() - start) * 1000.0,
-                    error=exc,
-                )
-            raise
-        telemetry.record_statement(
-            kind,
-            (_time.perf_counter() - start) * 1000.0,
-            rowcount=result.rowcount,
-            sql=sql,
-            fingerprint=fingerprint,
-            query_text=normalized,
-        )
-        if self.recorder is not None:
-            self.recorder.record(
-                sql=sql,
-                params=params,
-                fingerprint=fingerprint,
-                kind=kind,
-                wall_ms=(_time.perf_counter() - start) * 1000.0,
-                result=result,
-            )
+            raise self._failed(record, exc, profiler)
+        if record is not None and result is not None:
+            record.result = result
+            self._observe(record)
         return result
 
-    def query(self, sql: str) -> Result:
-        """Alias of :meth:`execute` for read-only use."""
-        return self.execute(sql)
+    def _run_query(
+        self, statement, params, record, profiler, strategy, plans,
+        cancel_event, plan_only,
+    ) -> Optional[Result]:
+        """Plan (through ``plans`` when given) and execute one query."""
+        query = statement.query
+        fresh = True
+        if strategy is not None:
+            expanded = self.expand_query(query, strategy=strategy)
+            planned = self.plan_query(
+                parse_statement(expanded).query, profiler=profiler
+            )
+        elif plans is None:
+            sql = None if record is None else record.sql
+            planned = self.plan_query(query, sql=sql, profiler=profiler)
+        else:
+            from repro.sql.printer import to_sql
+
+            key = to_sql(statement) if record is None else record.sql
+            planned = plans.get(key)
+            fresh = planned is None
+            if self.telemetry is not None:
+                if fresh:
+                    self.telemetry.plan_cache_misses_total.inc()
+                else:
+                    self.telemetry.plan_cache_hits_total.inc()
+            if fresh:
+                planned = self.plan_query(query, sql=key, profiler=profiler)
+                plans.put(planned)
+        if plan_only:
+            return None
+        # Summary hit/miss latency is only measured for a plan the rewriter
+        # just decided, so queries that never touch a summary pay nothing.
+        watched = fresh and bool(planned.reports)
+        if watched:
+            started = time.perf_counter()
+        result, profile = self.execute_planned(
+            planned, params, cancel_event=cancel_event, profiler=profiler
+        )
+        if watched:
+            elapsed_ms = (time.perf_counter() - started) * 1000.0
+            hit = next((r for r in planned.reports if r.status == "hit"), None)
+            for report in planned.reports if hit is None else (hit,):
+                view = self.catalog.get(report.view)
+                if not isinstance(view, MaterializedView):
+                    continue
+                if hit is None:
+                    view.stats.record_miss_latency(elapsed_ms)
+                else:
+                    view.stats.record_hit_latency(elapsed_ms)
+        if plans is None and profile is not None:
+            self._last_profile = profile
+        if record is not None:
+            record.profile = profile
+            # A cache hit never re-ran the rewriter; replaying the cold
+            # run's reports would double-count summary hits.
+            record.reports = planned.reports if fresh else ()
+            if strategy is None:
+                record.strategy = planned.strategy
+                record.fingerprint = planned.fingerprint
+                record.normalized = planned.normalized
+            if self.telemetry is not None:
+                from repro.introspect import is_introspection_plan
+
+                # An expanded plan's hash differs per strategy by
+                # construction, and a deliberate experiment is not a flip.
+                if strategy is None:
+                    record.plan_shape = planned.plan_shape
+                record.introspection = is_introspection_plan(planned.plan)
+        return result
+
+    def _failed(self, record: "StatementRecord", exc: Exception, profiler=None):
+        """The pipeline's one guard: observe a failed statement once and
+        return the :class:`SqlError` to raise.  Any other exception (a
+        ``RecursionError`` from a very deep expression, an engine bug)
+        becomes an :class:`InternalError` naming the statement."""
+        if not isinstance(exc, SqlError):
+            text = (record.sql or type(record.statement).__name__)[:120]
+            exc = InternalError(
+                f"internal error in {text!r}: {type(exc).__name__}: {exc}"
+            )
+        if self.telemetry is None and self.recorder is None:
+            return exc
+        if (
+            self.telemetry is not None
+            and isinstance(exc, ResourceExhausted)
+            and profiler is not None
+        ):
+            # The budget fired mid-execution; freeze what the profiler saw
+            # up to the failing operator for the slow-query log.
+            record.profile = profiler.finish(sql=record.sql)
+        record.error = exc
+        self._observe(record)
+        return exc
+
+    def _observe(self, record: "StatementRecord") -> None:
+        """Step 4: hand one finished statement to every consumer — metrics,
+        ``repro_stat_statements``, the slow-query log, traces (telemetry)
+        and the journal (the recorder)."""
+        if record.started:
+            record.wall_ms = (time.perf_counter() - record.started) * 1000.0
+        if record.fingerprint is None and record.statement is not None:
+            from repro.introspect import fingerprint_statement
+
+            # A statement the printer cannot canonicalize is still metered;
+            # it just has no stat_statements row.
+            with contextlib.suppress(Exception):
+                record.fingerprint, record.normalized = fingerprint_statement(
+                    record.statement
+                )
+        telemetry = self.telemetry
+        if telemetry is not None:
+            if record.error is not None:
+                if record.profile is not None:
+                    # Only a memory-budget failure keeps a (partial) profile.
+                    telemetry.record_resource_exhausted(
+                        record.error, sql=record.sql, profile=record.profile
+                    )
+                telemetry.record_error(
+                    record.error,
+                    sql=record.sql,
+                    fingerprint=record.fingerprint,
+                    query_text=record.normalized,
+                )
+            elif record.profile is not None:
+                telemetry.record_query(
+                    record.kind,
+                    record.profile,
+                    rows=len(record.result.rows),
+                    sql=record.sql,
+                    reports=record.reports,
+                    fingerprint=record.fingerprint,
+                    query_text=record.normalized,
+                    plan_shape=record.plan_shape,
+                    introspection=record.introspection,
+                    strategy=record.strategy,
+                )
+            else:
+                telemetry.record_statement(
+                    record.kind,
+                    record.wall_ms,
+                    rowcount=record.result.rowcount,
+                    sql=record.sql,
+                    fingerprint=record.fingerprint,
+                    query_text=record.normalized,
+                )
+        if self.recorder is not None:
+            self.recorder.record(
+                sql=record.sql,
+                params=record.params,
+                fingerprint=record.fingerprint,
+                strategy=record.strategy,
+                kind=record.kind,
+                wall_ms=record.wall_ms,
+                result=record.result,
+                error=record.error,
+            )
 
     def _execute_statement(
         self, statement: ast.Statement, params: Sequence[Any] = ()
     ) -> Result:
+        """Step 3 for everything but a planned query: DDL, DML, EXPLAIN,
+        SHOW STATS."""
         if isinstance(statement, ast.QueryStatement):
-            return self._run_query(statement.query, params)
+            # Only SHOW STATS gets here: it is answered from the telemetry
+            # registry, not the planner (the binder rejects nested uses,
+            # lint rule RP112).
+            return self._show_stats()
         if isinstance(statement, ast.CreateTable):
             return self._create_table(statement)
         if isinstance(statement, ast.CreateTableAs):
@@ -497,6 +597,12 @@ class Database:
             )
         raise SqlError(f"cannot execute {type(statement).__name__}")
 
+    def _run_internal(self, query: ast.Query, params: Sequence[Any] = ()) -> Result:
+        """Plan and execute an internal query (a CTAS or INSERT source, a
+        summary refresh or delta) without the observe step."""
+        result, _ = self.execute_planned(self.plan_query(query), params)
+        return result
+
     def _analyze(self, statement: ast.Analyze) -> Result:
         """``ANALYZE [table]``: gather per-column statistics into the catalog.
 
@@ -537,57 +643,55 @@ class Database:
             rowcount=len(rows),
         )
 
-    def _run_query(
+    # -- plan and execute ---------------------------------------------------
+
+    def plan_query(
         self,
         query: ast.Query,
-        params: Sequence[Any] = (),
+        *,
+        sql: Optional[str] = None,
         profiler=None,
-    ) -> Result:
+    ) -> PlannedQuery:
+        """Plan ``query`` without running it: rewrite -> bind -> optimize.
+
+        The pipeline's plan step for every entry point.  Nothing is stored
+        on the Database — the returned :class:`PlannedQuery` is
+        self-contained, so concurrent sessions can plan and replay without
+        racing on shared state.  Summary-rewrite telemetry is recorded
+        here (at plan time); cached replays deliberately skip the rewriter
+        and its counters.  ``profiler`` records the rewrite/bind/optimize
+        phase spans.  ``sql`` is the canonical text of a plan someone keeps
+        (the plan cache's key) or observes (the journal, telemetry).  A
+        plan given ``sql``, planned under a profiler or about to be
+        progress-tracked carries dataflow facts and every descriptive
+        field; any other plan skips that work.
+        """
+        return self._plan(query, sql=sql, profiler=profiler, record=True)
+
+    def _plan(self, query, *, sql=None, profiler=None, record: bool) -> PlannedQuery:
+        """:meth:`plan_query`; ``record=False`` (EXPLAIN) reports the summary
+        decision without counting it."""
         if isinstance(query, ast.ShowStats):
-            # Answered from the telemetry registry, not the planner; the
-            # binder rejects nested uses (lint rule RP112).
-            return self._show_stats()
-        # Internal queries (summary refresh/delta) never auto-profile; they
-        # would clobber the user-visible last_profile().
-        if (
-            profiler is None
-            and self.profile_enabled
-            and not self._suppress_summaries
-        ):
-            from repro.profile import Profiler
-
-            profiler = Profiler()
+            raise SqlError("SHOW STATS has no plan; execute it directly")
         tracer = profiler.tracer if profiler is not None else None
-        original_query = query
-
-        outcome = None
+        reports: Sequence = ()
+        rewritten = query
         if self.summaries_enabled and not self._suppress_summaries:
             span = tracer.begin("rewrite", "phase") if tracer is not None else None
-            outcome = rewrite_query(self.catalog, query)
+            outcome = rewrite_query(self.catalog, query, record=record)
             if span is not None:
                 if outcome.used is not None:
                     span.meta["summary"] = outcome.used.name
                 tracer.end(span)
-            if self.telemetry is not None:
+            if record and self.telemetry is not None:
                 # Mirrors what rewrite_query(record=True) just added to the
                 # per-view SummaryStats, keeping the lifetime hit/miss
                 # counters consistent with summary_stats().
                 self.telemetry.record_rewrite(outcome)
-                self._last_rewrite_reports = outcome.reports
-            query = outcome.query
-        # Hit/miss latency is only measured when a summary was at least a
-        # candidate, so queries that never touch a summary pay nothing.
-        watch_summaries = outcome is not None and (
-            outcome.used is not None or bool(outcome.reports)
-        )
-        if watch_summaries:
-            import time as _time
-
-            latency_start = _time.perf_counter()
-
+            reports = outcome.reports
+            rewritten = outcome.query
         span = tracer.begin("bind", "phase") if tracer is not None else None
-        binder = Binder(self.catalog)
-        plan, columns = binder.bind_query_top(query)
+        plan, columns = Binder(self.catalog).bind_query_top(rewritten)
         if tracer is not None:
             tracer.end(span)
         if self.optimizer_enabled:
@@ -600,141 +704,35 @@ class Database:
             from repro.analysis.validator import check_plan
 
             check_plan(plan, "binding")
-        track_progress = (
-            not self._suppress_summaries and self.progress_enabled()
+        strategy = (
+            "summary" if any(r.status == "hit" for r in reports) else "interpreter"
         )
-        if profiler is not None or track_progress:
-            # Dataflow facts ride on the plan nodes: the profiler folds
-            # them into the operator tree (types/keys/cardinality bounds
-            # per node), the progress tables report them as estimated
-            # rows next to the actuals, and the cardinality bounds are
-            # the input for cost-based strategy selection (ROADMAP).
-            from repro.analysis.dataflow import analyze_plan
-
-            analyze_plan(plan, self.catalog)
-        progress = None
-        if track_progress:
-            from repro.sql.printer import to_sql as _to_sql
-
-            try:
-                progress_sql = _to_sql(original_query)
-            except Exception:
-                progress_sql = ""
-            progress = self._start_progress(progress_sql, plan)
-        ctx = ExecutionContext(
-            self.catalog,
-            enable_cache=self.cache_enabled,
-            params=params,
-            profiler=profiler,
-            progress=progress,
-        )
-        span = tracer.begin("execute", "phase") if tracer is not None else None
-        if progress is None:
-            rows = execute_plan(plan, ctx)
-        else:
-            from repro.engine.progress import current_query_id
-
-            # current_query_id is how a query over the running-queries
-            # tables avoids observing itself in the registry snapshot.
-            query_token = current_query_id.set(progress.query_id)
-            try:
-                rows = execute_plan(plan, ctx)
-            finally:
-                current_query_id.reset(query_token)
-                self.running.finish(progress)
-        if tracer is not None:
-            tracer.end(span)
-        self.last_stats = ctx
-        if watch_summaries:
-            elapsed_ms = (_time.perf_counter() - latency_start) * 1000.0
-            if outcome.used is not None:
-                outcome.used.stats.record_hit_latency(elapsed_ms)
-            else:
-                for report in outcome.reports:
-                    view = self.catalog.get(report.view)
-                    if isinstance(view, MaterializedView):
-                        view.stats.record_miss_latency(elapsed_ms)
-        if profiler is not None:
-            from repro.sql.printer import to_sql
-
-            self._last_plan = plan
-            self._last_profile = profiler.finish(
-                plan, ctx, len(rows), sql=to_sql(original_query)
-            )
-        return Result(
-            columns=[ResultColumn(c.name, c.dtype) for c in columns],
-            rows=rows,
-            rowcount=len(rows),
-        )
-
-    # -- planned execution (the query server's path) -------------------------
-
-    def plan_query(self, query: ast.Query, *, sql: Optional[str] = None) -> PlannedQuery:
-        """Plan ``query`` once for repeated execution, without running it.
-
-        Runs the same rewrite -> bind -> optimize pipeline as
-        :meth:`execute` but returns the finished plan instead of rows.
-        Unlike the execute path, nothing is stored on the Database — the
-        returned :class:`PlannedQuery` is self-contained, so concurrent
-        sessions can plan and replay without racing on shared state.
-        Summary-rewrite telemetry is recorded here (at plan time); cached
-        replays deliberately skip the rewriter and its counters.
-        """
-        if isinstance(query, ast.ShowStats):
-            raise SqlError("SHOW STATS has no plan; execute it directly")
+        planned = PlannedQuery(query, plan, tuple(columns), strategy, tuple(reports))
+        if sql is None and profiler is None and not self._tracks_progress():
+            return planned
+        from repro.analysis.dataflow import analyze_plan
         from repro.introspect import fingerprint_statement, plan_shape
         from repro.plan.logical import Scan
         from repro.sql.printer import to_sql
         from repro.sql.visitor import find_all
 
+        # Dataflow facts ride on the plan nodes: the profiler folds them
+        # into the operator tree, the progress tables report them as
+        # estimated rows next to the actuals, and a cached plan keeps them
+        # (DML invalidation bounds how stale they get).
+        analyze_plan(plan, self.catalog)
         statement = ast.QueryStatement(query)
-        if sql is None:
-            sql = to_sql(statement)
         try:
             fingerprint, normalized = fingerprint_statement(statement)
         except Exception:
             fingerprint = normalized = None
-        reports: tuple = ()
-        rewritten = query
-        if self.summaries_enabled and not self._suppress_summaries:
-            outcome = rewrite_query(self.catalog, query)
-            if self.telemetry is not None:
-                self.telemetry.record_rewrite(outcome)
-            reports = tuple(outcome.reports)
-            rewritten = outcome.query
-        binder = Binder(self.catalog)
-        plan, columns = binder.bind_query_top(rewritten)
-        if self.optimizer_enabled:
-            plan = optimize(plan, validate=self.validate_enabled)
-        elif self.validate_enabled:
-            from repro.analysis.validator import check_plan
-
-            check_plan(plan, "binding")
-        from repro.analysis.dataflow import analyze_plan
-
-        # Facts (types/nullability/keys/cardinality bounds) travel with the
-        # cached plan; DML invalidation bounds how stale the bounds can get.
-        analyze_plan(plan, self.catalog)
-        strategy = (
-            "summary"
-            if any(r.status == "hit" for r in reports)
-            else "interpreter"
-        )
-        relations = {
-            ref.name.lower() for ref in find_all(query, ast.TableName)
-        }
+        relations = {ref.name.lower() for ref in find_all(query, ast.TableName)}
         relations.update(
-            node.table_name.lower()
-            for node in plan.walk()
-            if isinstance(node, Scan)
+            node.table_name.lower() for node in plan.walk() if isinstance(node, Scan)
         )
-        return PlannedQuery(
-            sql=sql,
-            query=query,
-            plan=plan,
-            columns=tuple(columns),
-            strategy=strategy,
-            reports=reports,
+        return dataclasses.replace(
+            planned,
+            sql=to_sql(statement) if sql is None else sql,
             relations=frozenset(relations),
             plan_shape=plan_shape(plan),
             fingerprint=fingerprint,
@@ -751,20 +749,14 @@ class Database:
     ):
         """Execute a :class:`PlannedQuery`; ``(Result, QueryProfile | None)``.
 
-        All mutable execution state lives in a fresh
-        :class:`ExecutionContext`, so any number of sessions can replay the
-        same plan concurrently.  Deliberately does NOT update
-        ``last_stats``/``last_profile()`` (shared slots would race) and
-        does not touch per-view summary latency attribution — the profile
-        is returned to the caller instead.  ``cancel_event`` (a
-        ``threading.Event``) aborts execution at the next operator
-        boundary with :class:`~repro.errors.QueryCancelled`.
+        The pipeline's execute step and the only place a plan runs.  All
+        mutable state lives in a fresh :class:`ExecutionContext` (left in
+        ``last_stats``), so sessions can replay one plan concurrently; the
+        profile goes back to the caller.  ``cancel_event`` (a
+        ``threading.Event``) aborts at the next operator boundary or
+        256-row checkpoint with :class:`~repro.errors.QueryCancelled`.
         """
-        progress = (
-            self._start_progress(planned.sql, planned.plan)
-            if self.progress_enabled()
-            else None
-        )
+        progress = self._start_progress(planned) if self._tracks_progress() else None
         ctx = ExecutionContext(
             self.catalog,
             enable_cache=self.cache_enabled,
@@ -780,6 +772,8 @@ class Database:
         else:
             from repro.engine.progress import current_query_id
 
+            # current_query_id is how a query over the running-queries
+            # tables avoids observing itself in the registry snapshot.
             query_token = current_query_id.set(progress.query_id)
             try:
                 rows = execute_plan(planned.plan, ctx)
@@ -788,6 +782,7 @@ class Database:
                 self.running.finish(progress)
         if tracer is not None:
             tracer.end(span)
+        self.last_stats = ctx
         profile = (
             None
             if profiler is None
@@ -817,19 +812,23 @@ class Database:
             return self.telemetry is not None
         return self._track_progress
 
-    def _start_progress(self, sql: str, plan):
+    def _tracks_progress(self) -> bool:
+        # Internal summary refresh/delta queries are never tracked.
+        return not self._suppress_summaries and self.progress_enabled()
+
+    def _start_progress(self, planned: PlannedQuery):
         """Register one tracked execution in the running-query registry."""
         from repro.telemetry import current_session, current_traceparent
 
         progress = self.running.start(
-            sql=sql,
+            sql=planned.sql or "",
             session_id=current_session.get(),
             traceparent=current_traceparent.get(),
             memory_limit_bytes=self.memory_limit_bytes,
         )
         # Pre-register every operator with its dataflow cardinality
         # bounds so estimated-vs-actual rows are observable immediately.
-        progress.attach_plan(plan)
+        progress.attach_plan(planned.plan)
         return progress
 
     def running_queries(self) -> list[dict]:
@@ -856,15 +855,8 @@ class Database:
         return Result(message=f"table {statement.name} created")
 
     def _create_table_as(self, statement: ast.CreateTableAs) -> Result:
-        from repro.types import UNKNOWN, VARCHAR
-
-        result = self._run_query(statement.query)
-        schema = TableSchema(
-            [
-                Column(c.name, VARCHAR if c.dtype.unwrap() is UNKNOWN else c.dtype.unwrap())
-                for c in result.columns
-            ]
-        )
+        result = self._run_internal(statement.query)
+        schema = maintenance.result_schema(result)
         replaced = statement.or_replace and statement.name in self.catalog
         table = self.catalog.create_table(
             statement.name, schema, or_replace=statement.or_replace
@@ -950,7 +942,7 @@ class Database:
 
     def _insert(self, statement: ast.Insert, params: Sequence[Any] = ()) -> Result:
         table = self.catalog.base_table(statement.table)
-        result = self._run_query(statement.source, params)
+        result = self._run_internal(statement.source, params)
         expected = (
             len(statement.columns)
             if statement.columns
@@ -993,12 +985,9 @@ class Database:
         bound_where = expr_binder.bind(where) if where is not None else None
         return expr_binder, bound_where
 
-    def _matching_indexes(self, table, bound_where, params=()) -> list[int]:
+    def _matching_indexes(self, table, bound_where, ctx) -> list[int]:
         from repro.engine.evaluator import EvalEnv, evaluate
 
-        ctx = ExecutionContext(
-            self.catalog, enable_cache=self.cache_enabled, params=params
-        )
         matches = []
         for index, row in enumerate(table.table.rows):
             if bound_where is None or evaluate(bound_where, EvalEnv(row), ctx) is True:
@@ -1022,7 +1011,7 @@ class Database:
         )
         rows = table.table.rows
         count = 0
-        for row_index in self._matching_indexes(table, bound_where, params):
+        for row_index in self._matching_indexes(table, bound_where, ctx):
             env = EvalEnv(rows[row_index])
             updated = list(rows[row_index])
             for column_index, value_expr in targets:
@@ -1040,7 +1029,10 @@ class Database:
     def _delete(self, statement: ast.Delete, params: Sequence[Any] = ()) -> Result:
         table = self.catalog.base_table(statement.table)
         _, bound_where = self._bind_table_predicate(table, statement.where)
-        doomed = set(self._matching_indexes(table, bound_where, params))
+        ctx = ExecutionContext(
+            self.catalog, enable_cache=self.cache_enabled, params=params
+        )
+        doomed = set(self._matching_indexes(table, bound_where, ctx))
         if doomed:
             kept = [
                 row
@@ -1053,6 +1045,13 @@ class Database:
         return Result(rowcount=len(doomed), message=f"{len(doomed)} rows deleted")
 
     def _explain(self, statement: ast.ExplainPlan) -> Result:
+        """``EXPLAIN [(ANALYZE, TYPES, LINT)] query``: one row per line.
+
+        With ANALYZE the query genuinely runs under a fresh profiler, like
+        PostgreSQL (summary hit counters and side effects happen): the
+        result rows are discarded and the operator tree comes back
+        annotated with observed rows and timing.
+        """
         from repro.plan.logical import plan_tree_string
         from repro.types import VARCHAR
 
@@ -1070,72 +1069,39 @@ class Database:
                 "the telemetry registry and has no plan"
             )
         query = statement.query
-        lint_lines: list[str] = []
+        lines: list[str] = []
         if statement.lint:
             from repro.analysis.linter import lint_query
 
-            lint_lines = [
+            lines = [
                 f"lint: {diag.render()}"
                 for diag in lint_query(self.catalog, query)
             ] or ["lint: clean"]
         if statement.analyze:
-            return self._explain_analyze(statement, lint_lines)
-        summary_lines: list[str] = []
-        if self.summaries_enabled and not self._suppress_summaries:
-            # record=False: EXPLAIN reports the decision without inflating
-            # the per-view hit/reject counters.
-            outcome = rewrite_query(self.catalog, query, record=False)
-            summary_lines = outcome.explain_lines()
-            query = outcome.query
-        binder = Binder(self.catalog)
-        plan, _ = binder.bind_query_top(query)
-        if self.optimizer_enabled:
-            plan = optimize(plan, validate=self.validate_enabled)
+            from repro.profile import Profiler
+
+            profiler = Profiler()
+            planned = self.plan_query(query, profiler=profiler)
+            _, profile = self.execute_planned(planned, profiler=profiler)
+            self._last_profile = profile
+            lines += profile.plan_lines()
+        else:
+            # record=False: EXPLAIN reports the summary decision without
+            # inflating the per-view hit/reject counters.
+            planned = self._plan(query, record=False)
+            lines += [f"summary: {r.describe()}" for r in planned.reports]
         if statement.types:
             from repro.analysis.dataflow import explain_types_lines
 
-            plan_lines = explain_types_lines(plan, self.catalog)
-        else:
-            plan_lines = plan_tree_string(plan).splitlines()
-        lines = lint_lines + summary_lines + plan_lines
-        return Result(
-            columns=[ResultColumn("plan", VARCHAR)],
-            rows=[(line,) for line in lines],
-            rowcount=len(lines),
-        )
-
-    def _explain_analyze(
-        self, statement: ast.ExplainPlan, lint_lines: list[str]
-    ) -> Result:
-        """``EXPLAIN ANALYZE``: execute the query under a fresh profiler and
-        render the operator tree annotated with observed rows and timing.
-
-        Like PostgreSQL, the query genuinely runs (summary hit counters and
-        DML-visible side effects of the execution happen); the result rows
-        are discarded and the annotated plan is returned instead.
-        """
-        from repro.profile import Profiler
-        from repro.types import VARCHAR
-
-        profiler = Profiler()
-        self._run_query(statement.query, profiler=profiler)
-        profile = self._last_profile
-        types_lines: list[str] = []
-        if statement.types and self._last_plan is not None:
             # (ANALYZE, TYPES): the observed tree first, then the same plan
             # with the statically inferred facts, so predicted bounds can be
             # read next to what actually happened.
-            from repro.analysis.dataflow import explain_types_lines
-
-            types_lines = ["types:"] + explain_types_lines(
-                self._last_plan, self.catalog
-            )
-        lines = (
-            lint_lines
-            + profile.plan_lines()
-            + types_lines
-            + profile.summary_lines()
-        )
+            types_lines = explain_types_lines(planned.plan, self.catalog)
+            lines += ["types:"] + types_lines if statement.analyze else types_lines
+        elif not statement.analyze:
+            lines += plan_tree_string(planned.plan).splitlines()
+        if statement.analyze:
+            lines += profile.summary_lines()
         return Result(
             columns=[ResultColumn("plan", VARCHAR)],
             rows=[(line,) for line in lines],
@@ -1255,21 +1221,10 @@ class Database:
         """Serialize captured query traces to OTel-flavored JSON
         (schema ``repro-trace-v1``); an empty envelope when telemetry is
         off.  Always valid JSON (round-trips through ``json.loads``)."""
-        import json as _json
+        from repro.telemetry import TraceBuffer
 
-        if self.telemetry is None:
-            from repro.telemetry import TRACE_SCHEMA
-
-            return _json.dumps(
-                {
-                    "schema": TRACE_SCHEMA,
-                    "trace_count": 0,
-                    "traces_dropped": 0,
-                    "traces": [],
-                },
-                indent=indent,
-            )
-        return self.telemetry.traces.export_json(indent=indent)
+        traces = TraceBuffer() if self.telemetry is None else self.telemetry.traces
+        return traces.export_json(indent=indent)
 
     # -- static analysis ------------------------------------------------------
 
@@ -1301,13 +1256,9 @@ class Database:
         ``"auto"`` (try inline, then window, then fall back to subquery).
         """
         statement = parse_statement(sql)
-        if isinstance(statement, ast.ExplainExpand):
-            query = statement.query
-        elif isinstance(statement, ast.QueryStatement):
-            query = statement.query
-        else:
+        if not isinstance(statement, (ast.ExplainExpand, ast.QueryStatement)):
             raise SqlError("expand() requires a query")
-        return self.expand_query(query, strategy=strategy)
+        return self.expand_query(statement.query, strategy=strategy)
 
     def expand_query(self, query: ast.Query, *, strategy: str = "subquery") -> str:
         """Like :meth:`expand`, for an already-parsed query AST."""
@@ -1348,86 +1299,11 @@ class Database:
         """
         if strategy == "interpreter":
             return self.execute(sql, params)
-        import time as _time
-
-        from repro.introspect import fingerprint_statement
-
-        try:
-            statement = parse_statement(sql)
-        except SqlError as exc:
-            if self.telemetry is not None:
-                self.telemetry.record_error(exc, sql=sql)
-            raise
-        if not isinstance(statement, ast.QueryStatement) or isinstance(
-            statement.query, ast.ShowStats
-        ):
-            raise SqlError("execute_with_strategy() requires a query")
-        try:
-            fingerprint, normalized = fingerprint_statement(statement)
-        except Exception:
-            fingerprint = normalized = None
-        profiler = None
-        if self.telemetry is not None:
-            from repro.profile import Profiler
-
-            profiler = Profiler()
-        start = _time.perf_counter()
-        try:
-            expanded_sql = self.expand_query(
-                statement.query, strategy=strategy
-            )
-            expanded = parse_statement(expanded_sql)
-            self._last_rewrite_reports = []
-            self._last_plan = None
-            result = self._run_query(
-                expanded.query, params, profiler=profiler
-            )
-        except SqlError as exc:
-            if self.telemetry is not None:
-                self.telemetry.record_error(
-                    exc,
-                    sql=sql,
-                    fingerprint=fingerprint,
-                    query_text=normalized,
-                )
-            if self.recorder is not None:
-                self.recorder.record(
-                    sql=sql,
-                    params=params,
-                    fingerprint=fingerprint,
-                    strategy=strategy,
-                    kind="select",
-                    wall_ms=(_time.perf_counter() - start) * 1000.0,
-                    error=exc,
-                )
-            raise
-        wall_ms = (_time.perf_counter() - start) * 1000.0
-        if self.telemetry is not None:
-            # plan_shape=None: the expanded plan's hash would differ per
-            # strategy by construction, and a deliberate experiment is
-            # not a plan flip.
-            self.telemetry.record_query(
-                "select",
-                self._last_profile,
-                rows=len(result.rows),
-                sql=sql,
-                reports=(),
-                fingerprint=fingerprint,
-                query_text=normalized,
-                plan_shape=None,
-                strategy=strategy,
-            )
-        if self.recorder is not None:
-            self.recorder.record(
-                sql=sql,
-                params=params,
-                fingerprint=fingerprint,
-                strategy=strategy,
-                kind="select",
-                wall_ms=wall_ms,
-                result=result,
-            )
-        return result
+        profiler = self._profiler()
+        statement = self._parse(sql, params, parse_statement, profiler, strategy)
+        return self._run_statement(
+            statement, params, sql=sql, profiler=profiler, strategy=strategy
+        )
 
     # -- convenience ------------------------------------------------------------
 
@@ -1474,7 +1350,7 @@ class Database:
         Measure formulas are intentionally NOT included — the view is an
         abstraction boundary (section 3.2).
         """
-        from repro.catalog.objects import BaseTable
+        from repro.catalog.objects import BaseTable, SystemTable
 
         obj = self.catalog.resolve(name)
         if isinstance(obj, MaterializedView):
@@ -1502,24 +1378,15 @@ class Database:
                     for m in obj.definition.measures
                 ],
             }
-        if isinstance(obj, BaseTable):
+        if isinstance(obj, (BaseTable, SystemTable)):
+            extra = (
+                {"kind": "table", "rows": len(obj.table)}
+                if isinstance(obj, BaseTable)
+                else {"kind": "system table", "comment": obj.comment}
+            )
             return {
                 "name": obj.name,
-                "kind": "table",
-                "rows": len(obj.table),
-                "columns": [
-                    {"name": c.name, "type": str(c.dtype), "measure": False}
-                    for c in obj.schema.columns
-                ],
-                "measures": [],
-            }
-        from repro.catalog.objects import SystemTable
-
-        if isinstance(obj, SystemTable):
-            return {
-                "name": obj.name,
-                "kind": "system table",
-                "comment": obj.comment,
+                **extra,
                 "columns": [
                     {"name": c.name, "type": str(c.dtype), "measure": False}
                     for c in obj.schema.columns
@@ -1552,3 +1419,4 @@ class Database:
             "columns": columns,
             "measures": measures,
         }
+

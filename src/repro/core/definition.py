@@ -53,12 +53,6 @@ class MeasureGroup:
     def dim(self, name: str) -> Optional[Dimension]:
         return self.dims.get(name.lower())
 
-    def dim_by_key(self, key: str) -> Optional[Dimension]:
-        for dimension in self.dims.values():
-            if dimension.key == key:
-                return dimension
-        return None
-
 
 @dataclass
 class MeasureInstance:

@@ -156,7 +156,20 @@ def _context_rows(measure, terms: list[Term], ctx: ExecutionContext, env) -> lis
         candidates = [rows[i] for i in candidate_indexes]
     if not other_terms:
         return list(candidates)
-    return [row for row in candidates if _accept(other_terms, row, ctx)]
+    check = ctx.checkpoint
+    if check is None:
+        return [row for row in candidates if _accept(other_terms, row, ctx)]
+    # A VISIBLE or semi-join term tests each candidate against a whole
+    # group, so one evaluation can run for seconds: cancellation and
+    # progress land here too, not only at the executor's operators.
+    source = measure.group.source_plan
+    kept = []
+    for index, row in enumerate(candidates):
+        if not index & 0xFF:
+            check(source, len(kept))
+        if _accept(other_terms, row, ctx):
+            kept.append(row)
+    return kept
 
 
 def _dimension_index(measure, term: EqTerm, ctx: ExecutionContext, rows):

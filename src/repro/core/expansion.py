@@ -1112,25 +1112,6 @@ def _detect_aggregate(select: ast.Select) -> bool:
     return any(not item.is_measure and scan(item.expr) for item in select.items)
 
 
-def _uses_measures(select: ast.Select, scope: _ExpScope) -> bool:
-    def scan(expr: ast.Node) -> bool:
-        if isinstance(expr, ast.Query):
-            return False
-        if isinstance(expr, ast.ColumnRef):
-            owner = scope.owner(expr)
-            if owner is not None and owner.has_measure(expr.name):
-                return True
-        return any(scan(child) for child in expr.children())
-
-    for item in select.items:
-        if scan(item.expr):
-            return True
-    for clause in (select.where, select.having):
-        if clause is not None and scan(clause):
-            return True
-    return False
-
-
 def _contains_measure_use(expr: ast.Expression, scope: _ExpScope) -> bool:
     for node in expr.walk():
         if isinstance(node, ast.ColumnRef):

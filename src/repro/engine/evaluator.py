@@ -16,7 +16,7 @@ from __future__ import annotations
 import datetime
 from typing import Any, Optional
 
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, QueryCancelled
 from repro.semantics import bound as b
 from repro.types import (
     BOOLEAN,
@@ -82,8 +82,14 @@ class ExecutionContext:
         #: rows-processed / current-operator / memory accounting, updated
         #: at operator boundaries and the 256-row checkpoints.  Same
         #: zero-cost-when-off discipline as the profiler: None means one
-        #: attribute check per operator and per 256-row checkpoint.
+        #: attribute check per operator.
         self.progress = progress
+        #: ``checkpoint(plan, buffered_rows)``, called every 256 rows by
+        #: the long loops (executor operators, the measure evaluator's
+        #: context filter): raises QueryCancelled once ``cancel_event`` is
+        #: set and ticks ``progress``.  None when neither is attached, so
+        #: an unwatched loop pays one local test per row.
+        self.checkpoint = _checkpoint(cancel_event, progress)
         self.subquery_cache: dict = {}
         self.measure_cache: dict = {}
         self.source_rows_cache: dict = {}
@@ -109,6 +115,19 @@ class ExecutionContext:
         self.rows_scanned = 0
         self.hash_joins = 0
         self.nested_loop_joins = 0
+
+
+def _checkpoint(cancel_event, progress):
+    if cancel_event is None:
+        return None if progress is None else progress.tick
+
+    def checkpoint(plan, buffered_rows: int) -> None:
+        if cancel_event.is_set():
+            raise QueryCancelled("query cancelled")
+        if progress is not None:
+            progress.tick(plan, buffered_rows)
+
+    return checkpoint
 
 
 def _attach_span(exc: ExecutionError, expr: b.BoundExpr) -> ExecutionError:

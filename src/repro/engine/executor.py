@@ -127,19 +127,13 @@ def _execute_values(plan: plans.ValuesPlan, ctx: ExecutionContext, outer_env) ->
 def _execute_filter(plan: plans.Filter, ctx: ExecutionContext, outer_env) -> list[tuple]:
     rows = execute_plan(plan.input, ctx, outer_env)
     kept = []
-    cancel = ctx.cancel_event
-    progress = ctx.progress
-    watched = cancel is not None or progress is not None
+    check = ctx.checkpoint
     for index, row in enumerate(rows):
         # Predicate loops dominate long queries, so cancellation and
         # progress ticks land here too (every 256 rows), not just at
-        # operator boundaries.  ``watched`` is hoisted so the untracked
-        # hot path pays one local truthiness test per row.
-        if watched and not index & 0xFF:
-            if cancel is not None and cancel.is_set():
-                raise QueryCancelled("query cancelled")
-            if progress is not None:
-                progress.tick(plan, len(kept))
+        # operator boundaries.
+        if check is not None and not index & 0xFF:
+            check(plan, len(kept))
         env = EvalEnv(row, outer_env)
         if evaluate(plan.predicate, env, ctx) is True:
             kept.append(row)
@@ -162,16 +156,11 @@ def _execute_join(plan: plans.Join, ctx: ExecutionContext, outer_env) -> list[tu
     right_width = len(plan.right.schema)
     output: list[tuple] = []
 
-    cancel = ctx.cancel_event
-    progress = ctx.progress
-    watched = cancel is not None or progress is not None
+    check = ctx.checkpoint
     if plan.kind == "CROSS":
         for index, left in enumerate(left_rows):
-            if watched and not index & 0xFF:
-                if cancel is not None and cancel.is_set():
-                    raise QueryCancelled("query cancelled")
-                if progress is not None:
-                    progress.tick(plan, len(output))
+            if check is not None and not index & 0xFF:
+                check(plan, len(output))
             for right in right_rows:
                 output.append(left + right)
         return output
@@ -194,11 +183,8 @@ def _execute_join(plan: plans.Join, ctx: ExecutionContext, outer_env) -> list[tu
         )
     right_matched = [False] * len(right_rows)
     for left_index, left in enumerate(left_rows):
-        if watched and not left_index & 0xFF:
-            if cancel is not None and cancel.is_set():
-                raise QueryCancelled("query cancelled")
-            if progress is not None:
-                progress.tick(plan, len(output))
+        if check is not None and not left_index & 0xFF:
+            check(plan, len(output))
         matched = False
         for right_index, right in enumerate(right_rows):
             combined = left + right
@@ -284,16 +270,11 @@ def _hash_join(
     if ctx.profiler is not None:
         ctx.profiler.operator_count(plan, "hash_build_rows", len(right_rows))
         ctx.profiler.operator_count(plan, "hash_probes", len(left_rows))
-    cancel = ctx.cancel_event
-    progress = ctx.progress
-    watched = cancel is not None or progress is not None
+    check = ctx.checkpoint
     table: dict[tuple, list[int]] = {}
     for index, right in enumerate(right_rows):
-        if watched and not index & 0xFF:
-            if cancel is not None and cancel.is_set():
-                raise QueryCancelled("query cancelled")
-            if progress is not None:
-                progress.tick(plan, index)
+        if check is not None and not index & 0xFF:
+            check(plan, index)
         key = tuple(right[r] for _, r in equi_keys)
         if any(k is None for k in key):
             continue  # NULL keys never match under SQL '='
@@ -304,6 +285,7 @@ def _hash_join(
             return _nested_loop_fallback(
                 plan, left_rows, right_rows, left_width, right_width, ctx, outer_env
             )
+    progress = ctx.progress
     if progress is not None and right_rows:
         # The build table holds one key tuple + list slot per non-NULL
         # build row; 64 bytes/entry approximates that bucket state.
@@ -312,11 +294,8 @@ def _hash_join(
     output: list[tuple] = []
     right_matched = [False] * len(right_rows)
     for probe_index, left in enumerate(left_rows):
-        if watched and not probe_index & 0xFF:
-            if cancel is not None and cancel.is_set():
-                raise QueryCancelled("query cancelled")
-            if progress is not None:
-                progress.tick(plan, len(output))
+        if check is not None and not probe_index & 0xFF:
+            check(plan, len(output))
         key = tuple(left[l] for l, _ in equi_keys)
         matched = False
         if not any(k is None for k in key):
@@ -371,16 +350,11 @@ def _execute_aggregate(plan: plans.Aggregate, ctx: ExecutionContext, outer_env) 
     output: list[tuple] = []
 
     # Pre-compute every group expression once per input row.
-    cancel = ctx.cancel_event
-    progress = ctx.progress
-    watched = cancel is not None or progress is not None
+    check = ctx.checkpoint
     keyed_rows: list[tuple[tuple, tuple]] = []
     for row_index, row in enumerate(input_rows):
-        if watched and not row_index & 0xFF:
-            if cancel is not None and cancel.is_set():
-                raise QueryCancelled("query cancelled")
-            if progress is not None:
-                progress.tick(plan, len(keyed_rows))
+        if check is not None and not row_index & 0xFF:
+            check(plan, len(keyed_rows))
         env = EvalEnv(row, outer_env)
         keys = tuple(evaluate(expr, env, ctx) for expr in plan.group_exprs)
         keyed_rows.append((keys, row))

@@ -45,11 +45,11 @@ def compute_rows(db: "Database", view_query: ast.Select):
     db._suppress_summaries = True
     if db.telemetry is not None:
         # Maintenance work is invisible to the user-facing query metrics
-        # (it never goes through execute()); count it separately so the
+        # (it skips the pipeline's observe step); count it separately so the
         # engine's internal load is still observable.
         db.telemetry.record_internal_query()
     try:
-        return db._run_query(copy.deepcopy(view_query))
+        return db._run_internal(copy.deepcopy(view_query))
     finally:
         db._suppress_summaries = previous
 

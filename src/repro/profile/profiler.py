@@ -323,10 +323,6 @@ class QueryProfile:
             )
         return lines
 
-    def span_lines(self, *, timing: bool = True) -> list[str]:
-        """The raw span tree (the tracer view; ``\\profile`` shows it)."""
-        return self.root_span.tree_lines(timing=timing)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"QueryProfile(rows={self.result_rows}, total={self.total_ms:.3f}ms,"

@@ -14,11 +14,13 @@ boundary:
   (:class:`~repro.engine.evaluator.ExecutionContext`), so a self-join
   sees one consistent state even of a table the statement itself is not
   allowed to change.
-* Queries go through the shared plan cache: the canonical SQL text is
-  the key, a hit replays the stored plan with fresh parameters, and a
-  miss plans cold and populates the cache.  Writes invalidate affected
-  entries before the write lock is released, and detected plan flips
-  evict every cached variant of the flipped fingerprint.
+* Every statement runs the Database's statement pipeline
+  (``Database._run_statement``); queries pass it the shared plan cache:
+  the canonical SQL text is the key, a hit replays the stored plan with
+  fresh parameters, and a miss plans cold and populates the cache.
+  Writes invalidate affected entries before the write lock is released,
+  and detected plan flips evict every cached variant of the flipped
+  fingerprint.
 
 Sessions can be used directly (the benchmark does) or through the
 asyncio server in :mod:`repro.server.server`.
@@ -28,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 import threading
-import time
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from typing import Any, Optional, Sequence
@@ -38,7 +39,6 @@ from repro.errors import SqlError
 from repro.result import Result
 from repro.server.plancache import PlanCache
 from repro.sql import ast, parse_statement
-from repro.telemetry import statement_kind
 
 __all__ = ["Session", "SessionManager"]
 
@@ -98,7 +98,7 @@ class Session:
         its trace id and the telemetry events carry it.
         """
         with self._statement_scope(sql, traceparent):
-            statement = self._parse(sql)
+            statement = self.db._parse(sql, params, parse_statement)
             return self._run(statement, sql, params)
 
     def prepare(self, sql: str) -> str:
@@ -110,12 +110,15 @@ class Session:
         replans; the handle never dangles.
         """
         with self._statement_scope(sql):
-            statement = self._parse(sql)
+            statement = self.db._parse(sql, (), parse_statement)
             if isinstance(statement, ast.QueryStatement) and not isinstance(
                 statement.query, ast.ShowStats
             ):
                 with self.db.rwlock.read():
-                    self._plan_for(statement)
+                    self.db._run_statement(
+                        statement, sql=sql, plans=self.manager.plan_cache,
+                        plan_only=True,
+                    )
             handle = f"{self.id}_p{next(self._prepared_seq)}"
             self._prepared[handle] = (sql, statement)
             return handle
@@ -137,15 +140,6 @@ class Session:
 
     def deallocate(self, handle: str) -> None:
         self._prepared.pop(handle, None)
-
-    def _plan_for(self, statement: ast.QueryStatement) -> None:
-        """Prime the shared cache with this statement's plan (a prepare)."""
-        from repro.sql.printer import to_sql
-
-        key = to_sql(statement)
-        if self.manager.plan_cache.get(key) is None:
-            planned = self.db.plan_query(statement.query, sql=key)
-            self.manager.plan_cache.put(planned)
 
     def cancel(self) -> None:
         """Abort the statement currently executing in this session (if
@@ -182,145 +176,31 @@ class Session:
             current_traceparent.reset(trace_token)
             current_session.reset(token)
 
-    def _parse(self, sql: str) -> ast.Statement:
-        try:
-            return parse_statement(sql)
-        except SqlError as exc:
-            if self.db.telemetry is not None:
-                self.db.telemetry.record_error(exc, sql=sql)
-            if self.db.recorder is not None:
-                # Parse failures are part of the workload: replaying the
-                # journal must reproduce them as errors, not skip them.
-                self.db.recorder.record(sql=sql, error=exc)
-            raise
-
-    def _run(
-        self, statement: ast.Statement, sql: str, params: Sequence[Any]
-    ) -> Result:
-        if isinstance(statement, ast.QueryStatement):
-            return self._run_read(statement, sql, params)
-        return self._run_write(statement, sql, params)
-
-    def _run_read(
-        self,
-        statement: ast.QueryStatement,
-        sql: str,
-        params: Sequence[Any],
-    ) -> Result:
+    def _run(self, statement: ast.Statement, sql: str, params) -> Result:
+        """The statement pipeline under the right side of the lock; it
+        journals before the lock is released, so the journal's order is
+        an order the statements could have run in."""
         db = self.db
         manager = self.manager
-        with db.rwlock.read():
-            if isinstance(statement.query, ast.ShowStats):
-                # Answered from the registry; no plan, nothing to cache.
-                if db.telemetry is not None:
-                    return db._run_traced_statement(statement, params, sql=sql)
-                return db._execute_plain(statement, params)
-            manager.sync_plan_flips()
-            from repro.sql.printer import to_sql
-
-            key = to_sql(statement)
-            planned = manager.plan_cache.get(key)
-            cached = planned is not None
-            telemetry = db.telemetry
-            recorder = db.recorder
-            if telemetry is not None:
-                if cached:
-                    telemetry.plan_cache_hits_total.inc()
-                else:
-                    telemetry.plan_cache_misses_total.inc()
-            start = time.perf_counter()
-            try:
-                if planned is None:
-                    planned = db.plan_query(statement.query, sql=key)
-                    manager.plan_cache.put(planned)
-                profiler = None
-                if telemetry is not None:
-                    from repro.profile import Profiler
-
-                    profiler = Profiler()
-                result, profile = db.execute_planned(
-                    planned,
+        if isinstance(statement, ast.QueryStatement):
+            with db.rwlock.read():
+                manager.sync_plan_flips()
+                result = db._run_statement(
+                    statement,
                     params,
+                    sql=sql,
+                    plans=manager.plan_cache,
                     cancel_event=self.cancel_event,
-                    profiler=profiler,
-                )
-            except SqlError as exc:
-                if telemetry is not None:
-                    from repro.errors import ResourceExhausted
-
-                    if isinstance(exc, ResourceExhausted):
-                        # Freeze the partial profile into the slow-query
-                        # log before the statement unwinds: a budget
-                        # breach is precisely when the operator breakdown
-                        # matters and the query will never finish it.
-                        telemetry.record_resource_exhausted(
-                            exc, sql=key, profiler=profiler
-                        )
-                    fp = norm = None
-                    if planned is not None:
-                        fp, norm = planned.fingerprint, planned.normalized
-                    telemetry.record_error(
-                        exc, sql=key, fingerprint=fp, query_text=norm
-                    )
-                if recorder is not None:
-                    recorder.record(
-                        sql=key,
-                        params=params,
-                        fingerprint=(
-                            planned.fingerprint if planned is not None else None
-                        ),
-                        strategy=(
-                            planned.strategy if planned is not None else None
-                        ),
-                        kind=statement_kind(statement),
-                        wall_ms=(time.perf_counter() - start) * 1000.0,
-                        error=exc,
-                    )
-                raise
-            if recorder is not None:
-                recorder.record(
-                    sql=key,
-                    params=params,
-                    fingerprint=planned.fingerprint,
-                    strategy=planned.strategy,
-                    kind=statement_kind(statement),
-                    wall_ms=(time.perf_counter() - start) * 1000.0,
-                    result=result,
-                )
-            if telemetry is not None:
-                from repro.introspect import is_introspection_plan
-
-                telemetry.record_query(
-                    statement_kind(statement),
-                    profile,
-                    rows=len(result.rows),
-                    sql=key,
-                    # A cache hit never re-ran the rewriter; replaying the
-                    # cold run's reports would double-count summary hits.
-                    reports=() if cached else planned.reports,
-                    fingerprint=planned.fingerprint,
-                    query_text=planned.normalized,
-                    plan_shape=planned.plan_shape,
-                    strategy=planned.strategy,
-                    introspection=is_introspection_plan(planned.plan),
                 )
                 # If that observation flipped the plan, evict the
                 # fingerprint's cached variants before anyone replays them.
                 manager.sync_plan_flips()
-            return result
-
-    def _run_write(
-        self, statement: ast.Statement, sql: str, params: Sequence[Any]
-    ) -> Result:
-        db = self.db
+                return result
         with db.rwlock.write():
-            if db.telemetry is not None:
-                result = db._run_traced_statement(statement, params, sql=sql)
-            else:
-                result = db._execute_plain(statement, params)
+            result = db._run_statement(statement, params, sql=sql)
             # Invalidate while still exclusive: no reader can replay a
             # stale plan between the mutation and the eviction.
-            self.manager.invalidate_for(statement)
+            manager.invalidate_for(statement)
             return result
 
 

@@ -125,7 +125,3 @@ class RWLock:
     @property
     def readers(self) -> int:
         return self._readers
-
-    @property
-    def writer_active(self) -> bool:
-        return self._writer is not None

@@ -476,23 +476,20 @@ class Telemetry:
         self.events.record("error", **detail)
 
     def record_resource_exhausted(
-        self, exc: BaseException, *, sql: Optional[str], profiler: Any
+        self, exc: BaseException, *, sql: Optional[str], profile: Any
     ) -> None:
         """A query died on its memory budget: keep its *partial* profile.
 
         The profiler was live when :class:`ResourceExhausted` fired, so
-        freezing it now captures everything up to the failing operator —
-        exactly the evidence needed to size a budget or fix the query.
-        The entry goes to the slow-query log (when configured) regardless
-        of the duration threshold: an OOM-averted query is always worth
-        keeping.
+        the profile frozen then captures everything up to the failing
+        operator — exactly the evidence needed to size a budget or fix the
+        query.  The entry goes to the slow-query log (when configured)
+        regardless of the duration threshold: an OOM-averted query is
+        always worth keeping.
         """
-        profile = None if profiler is None else profiler.finish(sql=sql)
-        duration_ms = 0.0 if profile is None else round(profile.total_ms, 3)
+        duration_ms = round(profile.total_ms, 3)
         if self.slow_log is not None:
-            self.slow_log.add(
-                sql, duration_ms, None if profile is None else profile.to_dict()
-            )
+            self.slow_log.add(sql, duration_ms, profile.to_dict())
         detail: Dict[str, Any] = {
             "sql": sql,
             "message": str(exc),
