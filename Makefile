@@ -44,8 +44,9 @@ server-smoke:
 replay-smoke:
 	python scripts/replay_smoke.py replay/journal.jsonl
 
-# Two seconds of each benchmark workload, then one traced run: fails on a
-# wrong result or a layer entry point the tracer can no longer wrap.
+# Two seconds of each benchmark workload, then traced runs: fails on a
+# wrong result or a layer entry point the tracer can no longer wrap.  The
+# expansion layer is traced only under strategy_auto.
 MEASUREBENCH_WORKLOADS = tpch_cold strategy_auto listings_server_rw
 
 measurebench:
@@ -53,6 +54,7 @@ measurebench:
 		python3 measurebench/run.py --workload $$w --seed 1 --seconds 2 --trace 0 || exit 1; \
 	done
 	python3 measurebench/run.py --workload listings_server_rw --seed 1 --seconds 2 --trace 1
+	python3 measurebench/run.py --workload strategy_auto --seed 1 --seconds 2 --trace 1
 
 examples:
 	@for f in examples/*.py; do echo "== $$f =="; python $$f > /dev/null && echo ok; done

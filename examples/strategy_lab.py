@@ -3,7 +3,8 @@
 
 Shows the same query under the top-down interpreter (with the
 "localized self-join" cache), the general correlated-subquery expansion,
-the inline rewrite, and the window-aggregate rewrite — with work counters.
+the inline rewrite, and the window-aggregate (WinMagic) rewrite — with work
+counters.
 
 Run with::
 
@@ -69,7 +70,7 @@ print(ROW_QUERY)
 print("\n1. Interpreter:")
 timed("interpret", db.execute, ROW_QUERY)
 
-print("\n2. Window rewrite (the measures/OVER correspondence, section 5.1):")
+print("\n2. Window rewrite (section 5.1): WinMagic over the subquery expansion:")
 windowed = db.expand(ROW_QUERY, strategy="window")
 print(f"   {windowed[:110]}...")
 timed("execute windowed SQL", db.execute, windowed)
@@ -78,8 +79,8 @@ print("\n3. Subquery rewrite:")
 sub = db.expand(ROW_QUERY, strategy="subquery")
 timed("execute subquery SQL", db.execute, sub)
 
-print("\n4. WinMagic (Zuzarte et al. 2003): the expanded correlated subquery")
-print("   rewritten back to a window aggregate, closing the section 5.1 loop:")
+print("\n4. WinMagic (Zuzarte et al. 2003) on the hand-written correlated")
+print("   subquery (Listing 12's query 1), closing the section 5.1 loop:")
 from repro.core.winmagic import winmagic_rewrite
 from repro.sql import parse_query, to_sql
 

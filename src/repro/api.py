@@ -1252,8 +1252,10 @@ class Database:
         ``strategy`` selects the rewrite (paper section 6.4): ``"subquery"``
         (the general correlated-subquery expansion of section 4.2),
         ``"inline"`` (inline the formula into a simple GROUP BY query),
-        ``"window"`` (rewrite to window aggregates, section 5.1), or
-        ``"auto"`` (try inline, then window, then fall back to subquery).
+        ``"window"`` or its other name ``"winmagic"`` (the WinMagic rewrite
+        of the subquery expansion to window aggregates, section 5.1), or
+        ``"auto"`` (try inline, then WinMagic, then keep the subquery
+        expansion).
         """
         statement = parse_statement(sql)
         if not isinstance(statement, (ast.ExplainExpand, ast.QueryStatement)):

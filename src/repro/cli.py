@@ -11,7 +11,8 @@ Backslash meta-commands:
 ``\\profile``               toggle per-query profiling (annotated operator
                            tree, phase timings, and counters after each query)
 ``\\expand [STRAT:] QUERY`` show the measure-free SQL a query expands to
-                           (STRAT: subquery, inline, window, winmagic, auto)
+                           (STRAT: subquery, inline, auto, or window /
+                           winmagic: WinMagic over the subquery form)
 ``\\analyze [NAME]``        collect column statistics (ANALYZE) for one
                            table or every table
 ``\\record PATH``           start journaling statements to PATH
@@ -45,6 +46,7 @@ import time
 from typing import Optional
 
 from repro.api import Database
+from repro.core.expansion import STRATEGIES
 from repro.errors import SqlError
 
 __all__ = ["Shell", "main"]
@@ -60,7 +62,8 @@ _HELP = """Meta commands:
   \\timing            toggle timing
   \\profile           toggle per-query profiling (plan tree + counters)
   \\expand [S:] QUERY; print the measure-free expansion of QUERY using
-                     strategy S (subquery, inline, window, winmagic, auto)
+                     strategy S (subquery, inline, auto, or window /
+                     winmagic: WinMagic over the subquery form)
   \\analyze [NAME]    collect column statistics for NAME or all tables
                      (ANALYZE in SQL; repro_table_stats/repro_column_stats)
   \\record PATH       journal every statement to PATH for later replay
@@ -84,9 +87,6 @@ _HELP = """Meta commands:
                      SQL then runs in a server session
   \\disconnect        close the server session
 """
-
-_EXPAND_STRATEGIES = ("subquery", "inline", "window", "winmagic", "auto")
-
 
 class Shell:
     """A small line-oriented shell around :class:`~repro.api.Database`."""
@@ -162,7 +162,7 @@ class Shell:
         elif command == "\\expand":
             strategy = "subquery"
             prefix, colon, rest = argument.partition(":")
-            if colon and prefix.strip().lower() in _EXPAND_STRATEGIES:
+            if colon and prefix.strip().lower() in STRATEGIES:
                 strategy = prefix.strip().lower()
                 argument = rest.strip()
             try:

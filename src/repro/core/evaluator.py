@@ -131,6 +131,12 @@ def _context_rows(measure, terms: list[Term], ctx: ExecutionContext, env) -> lis
     if ctx.enable_cache and eq_terms:
         buckets = []
         for term in eq_terms:
+            if term.strict and term.value is None:
+                # SQL ``=`` never matches NULL; the index's None bucket
+                # holds the NULL-keyed rows, which only IS NOT DISTINCT
+                # FROM selects.
+                buckets.append(())
+                continue
             index = _dimension_index(measure, term, ctx, rows)
             if index is None:
                 other_terms.append(term)

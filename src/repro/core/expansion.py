@@ -25,8 +25,13 @@ Scope: the general correlated-subquery strategy supports plain GROUP BY
 queries, row-grain call sites, all AT modifiers, and grouping sets (rewritten
 to a UNION ALL of plain branches); measures composed from other measures and
 VISIBLE across join inputs are only supported by the interpreter (see
-DESIGN.md).  The ``inline`` and ``window`` strategies in
-:mod:`repro.core.strategies` cover the special shapes of paper section 6.4.
+DESIGN.md).
+
+:data:`STRATEGIES` names every rewrite.  Two cover cheaper special shapes
+(paper sections 5.1 and 6.4): ``inline`` (:mod:`repro.core.strategies`)
+and ``window``, also named ``winmagic``, which runs the WinMagic rewrite
+(:mod:`repro.core.winmagic`) over this module's expansion.  ``auto`` tries
+inline, then WinMagic, and otherwise keeps the subquery expansion.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from repro.sql.visitor import transform, transform_topdown
 if TYPE_CHECKING:  # pragma: no cover
     from repro.api import Database
 
-__all__ = ["expand_to_sql", "expand_query_ast", "Expander"]
+__all__ = ["expand_to_sql", "expand_query_ast", "Expander", "STRATEGIES"]
 
 
 def expand_to_sql(
@@ -73,100 +78,70 @@ def _traced_attempt(tracer, name: str, thunk):
     return result
 
 
+def _subquery(db: "Database", query: ast.Query, tracer) -> ast.Query:
+    return _traced_attempt(
+        tracer, "subquery", lambda: Expander(db).expand_query(copy.deepcopy(query))
+    )
+
+
+def _inline(db: "Database", query: ast.Query, tracer) -> ast.Query:
+    from repro.core.strategies import inline_expand
+
+    return _traced_attempt(
+        tracer, "inline", lambda: inline_expand(db, copy.deepcopy(query), tracer=tracer)
+    )
+
+
+def _winmagic_over(db: "Database", expanded: ast.Query, tracer) -> ast.Query:
+    from repro.core.winmagic import winmagic_rewrite
+
+    return _traced_attempt(
+        tracer, "winmagic", lambda: winmagic_rewrite(db, expanded, tracer=tracer)
+    )
+
+
+def _winmagic(db: "Database", query: ast.Query, tracer) -> ast.Query:
+    # Section 5.1: expand to the general correlated-subquery form, then
+    # de-correlate it into window aggregates.  Raises UnsupportedError when
+    # the expanded shape is not a WinMagic pattern.
+    return _winmagic_over(db, _subquery(db, query, tracer), tracer)
+
+
+def _auto(db: "Database", query: ast.Query, tracer) -> ast.Query:
+    # Cheapest shape first: inline produces a plain GROUP BY, WinMagic a
+    # single-pass window query, subquery the general (but correlated) form.
+    # WinMagic works on the subquery expansion, so that expansion runs once
+    # and is the answer when WinMagic refuses it.
+    try:
+        return _inline(db, query, tracer)
+    except UnsupportedError:
+        pass
+    expanded = _subquery(db, query, tracer)
+    try:
+        return _winmagic_over(db, expanded, tracer)
+    except UnsupportedError:
+        return expanded
+
+
+#: Strategy name -> rewrite.  ``window`` (the section 5.1 correspondence of
+#: measures and window aggregates) and ``winmagic`` (the cited algorithm)
+#: are one rewrite under two names.
+STRATEGIES = {
+    "subquery": _subquery,
+    "inline": _inline,
+    "window": _winmagic,
+    "winmagic": _winmagic,
+    "auto": _auto,
+}
+
+
 def expand_query_ast(
     db: "Database", query: ast.Query, *, strategy: str = "subquery", tracer=None
 ) -> ast.Query:
-    if strategy == "auto":
-        # Cheapest shape first: inline produces a plain GROUP BY, window a
-        # single-pass window query, subquery the general (but correlated)
-        # form.  The specialized strategies reject unsupported shapes with
-        # UnsupportedError, so the cascade is safe.
-        for candidate in ("inline", "window"):
-            try:
-                return expand_query_ast(
-                    db, query, strategy=candidate, tracer=tracer
-                )
-            except UnsupportedError:
-                continue
-        return expand_query_ast(db, query, strategy="subquery", tracer=tracer)
-    if strategy == "subquery":
-        return _traced_attempt(
-            tracer,
-            "subquery",
-            lambda: Expander(db).expand_query(copy.deepcopy(query)),
-        )
-    if strategy == "inline":
-        from repro.core.strategies import inline_expand
-
-        return _traced_attempt(
-            tracer,
-            "inline",
-            lambda: inline_expand(db, copy.deepcopy(query), tracer=tracer),
-        )
-    if strategy == "window":
-        from repro.core.strategies import window_expand
-
-        return _traced_attempt(
-            tracer,
-            "window",
-            lambda: window_expand(db, copy.deepcopy(query), tracer=tracer),
-        )
-    if strategy == "winmagic":
-        # Section 6.3: expand to the general correlated-subquery form,
-        # then de-correlate it into window aggregates.  Raises
-        # UnsupportedError when the expanded shape is not a WinMagic
-        # pattern, so the strategy composes with the others' contract.
-        from repro.core.winmagic import winmagic_rewrite
-
-        def _winmagic() -> ast.Query:
-            expanded = Expander(db).expand_query(copy.deepcopy(query))
-            if isinstance(expanded, ast.Select):
-                expanded.from_clause = _collapse_identity_projection(
-                    expanded.from_clause
-                )
-            return winmagic_rewrite(db, expanded, tracer=tracer)
-
-        return _traced_attempt(tracer, "winmagic", _winmagic)
-    raise UnsupportedError(f"unknown expansion strategy {strategy!r}")
-
-
-def _collapse_identity_projection(
-    from_clause: Optional[ast.TableRef],
-) -> Optional[ast.TableRef]:
-    """``(SELECT c AS c, ... FROM T) AS o`` -> ``T AS o`` when trivial.
-
-    The subquery expander wraps the source table in an identity
-    projection of the referenced columns; WinMagic wants the bare table.
-    Collapsing is only done when the inner query is a pure column-list
-    projection of a single base table — no predicate, grouping, DISTINCT,
-    ordering, or computed item — so it never changes row multiplicity or
-    values.
-    """
-    if not isinstance(from_clause, ast.SubqueryRef):
-        return from_clause
-    inner = from_clause.query
-    if not isinstance(inner, ast.Select):
-        return from_clause
-    if not isinstance(inner.from_clause, ast.TableName):
-        return from_clause
-    if (
-        inner.where is not None
-        or inner.group_by
-        or inner.having is not None
-        or inner.qualify is not None
-        or inner.order_by
-        or inner.limit is not None
-        or inner.offset is not None
-        or inner.distinct
-        or inner.from_clause.alias is not None
-    ):
-        return from_clause
-    for item in inner.items:
-        if not isinstance(item.expr, ast.ColumnRef) or len(item.expr.parts) != 1:
-            return from_clause
-        if item.alias is not None and item.alias.lower() != item.expr.name.lower():
-            return from_clause
-    return ast.TableName(inner.from_clause.name, alias=from_clause.alias)
+    rewrite = STRATEGIES.get(strategy)
+    if rewrite is None:
+        raise UnsupportedError(f"unknown expansion strategy {strategy!r}")
+    return rewrite(db, query, tracer)
 
 
 # ---------------------------------------------------------------------------

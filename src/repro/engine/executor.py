@@ -181,6 +181,17 @@ def _execute_join(plan: plans.Join, ctx: ExecutionContext, outer_env) -> list[tu
         ctx.profiler.operator_count(
             plan, "comparisons", len(left_rows) * len(right_rows)
         )
+    return _nested_loop(
+        plan, left_rows, right_rows, left_width, right_width, ctx, outer_env
+    )
+
+
+def _nested_loop(
+    plan, left_rows, right_rows, left_width, right_width, ctx, outer_env
+) -> list[tuple]:
+    """Nested-loop join with outer-join padding (any join condition)."""
+    check = ctx.checkpoint
+    output: list[tuple] = []
     right_matched = [False] * len(right_rows)
     for left_index, left in enumerate(left_rows):
         if check is not None and not left_index & 0xFF:
@@ -282,7 +293,7 @@ def _hash_join(
             table.setdefault(key, []).append(index)
         except TypeError:
             # Unhashable key value: bail out to the nested loop path.
-            return _nested_loop_fallback(
+            return _nested_loop(
                 plan, left_rows, right_rows, left_width, right_width, ctx, outer_env
             )
     progress = ctx.progress
@@ -307,29 +318,6 @@ def _hash_join(
                         evaluate(p, env, ctx) is True for p in residual
                     ):
                         continue
-                output.append(combined)
-                matched = True
-                right_matched[right_index] = True
-        if not matched and plan.kind in ("LEFT", "FULL"):
-            output.append(left + (None,) * right_width)
-    if plan.kind in ("RIGHT", "FULL"):
-        for right_index, right in enumerate(right_rows):
-            if not right_matched[right_index]:
-                output.append((None,) * left_width + right)
-    return output
-
-
-def _nested_loop_fallback(
-    plan, left_rows, right_rows, left_width, right_width, ctx, outer_env
-) -> list[tuple]:
-    output: list[tuple] = []
-    right_matched = [False] * len(right_rows)
-    for left in left_rows:
-        matched = False
-        for right_index, right in enumerate(right_rows):
-            combined = left + right
-            env = EvalEnv(combined, outer_env)
-            if plan.condition is None or evaluate(plan.condition, env, ctx) is True:
                 output.append(combined)
                 matched = True
                 right_matched[right_index] = True
@@ -460,14 +448,7 @@ def _execute_limit(plan: plans.Limit, ctx: ExecutionContext, outer_env) -> list[
 
 
 def _execute_distinct(plan: plans.Distinct, ctx: ExecutionContext, outer_env) -> list[tuple]:
-    rows = execute_plan(plan.input, ctx, outer_env)
-    seen: set = set()
-    output = []
-    for row in rows:
-        if row not in seen:
-            seen.add(row)
-            output.append(row)
-    return output
+    return _dedupe(execute_plan(plan.input, ctx, outer_env))
 
 
 def _execute_setop(plan: plans.SetOpPlan, ctx: ExecutionContext, outer_env) -> list[tuple]:

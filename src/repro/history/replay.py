@@ -5,8 +5,8 @@
 sequence order against the fresh database:
 
 * entries recorded under an expansion strategy are replayed through
-  :meth:`Database.execute_with_strategy`, so inline/window/subquery/
-  winmagic runs are re-expanded the same way;
+  :meth:`Database.execute_with_strategy`, so every expansion strategy
+  run is re-expanded the same way;
 * cancelled entries are skipped — a cancellation is an artifact of the
   original run's timing, not of the workload;
 * entries that *errored* are replayed expecting the same error: the
@@ -25,22 +25,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
+from repro.core.expansion import STRATEGIES
 from repro.errors import SqlError
 from repro.history.journal import JournalEntry, read_journal, result_digest
 from repro.server.protocol import error_payload
 
 __all__ = [
-    "EXPANSION_STRATEGIES",
     "Divergence",
     "ReplayReport",
     "build_bootstrap_database",
     "replay_journal",
 ]
-
-#: Strategy labels that replay through ``execute_with_strategy`` (the
-#: journal also contains "interpreter"/"summary"/None entries, which
-#: replay through the plain execute path).
-EXPANSION_STRATEGIES = ("subquery", "inline", "window", "winmagic", "auto")
 
 
 def build_bootstrap_database(bootstrap: Optional[str], **db_kwargs):
@@ -123,7 +118,9 @@ def _error_text(error: Optional[dict]) -> Optional[str]:
 
 def _replay_entry(db, entry: JournalEntry, report: ReplayReport, diff: bool):
     try:
-        if entry.strategy in EXPANSION_STRATEGIES:
+        # The journal also holds "interpreter"/"summary"/None entries,
+        # which replay through the plain execute path.
+        if entry.strategy in STRATEGIES:
             result = db.execute_with_strategy(
                 entry.sql, entry.params, strategy=entry.strategy
             )

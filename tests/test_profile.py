@@ -415,14 +415,42 @@ def test_shell_profile_silent_on_ddl_only():
 
 def test_expand_auto_traced(orders_db):
     orders_db.profile_enabled = True
-    orders_db.expand(
-        """SELECT prodName, AGGREGATE(profitMargin) AS pm
-           FROM EnhancedOrders GROUP BY prodName""",
-        strategy="auto",
-    )
-    profile = orders_db.last_profile()
-    attempts = [
-        s for s in profile.root_span.walk() if s.kind == "expand"
+    cases = [
+        # inline accepts: one attempt.
+        (
+            """SELECT prodName, AGGREGATE(profitMargin) AS pm
+               FROM EnhancedOrders GROUP BY prodName""",
+            "auto",
+            ["expand:inline"],
+        ),
+        # inline refuses; one subquery expansion, which WinMagic rewrites.
+        (
+            """SELECT prodName, profitMargin AT (WHERE prodName = e.prodName)
+               FROM EnhancedOrders AS e""",
+            "auto",
+            ["expand:inline", "expand:subquery", "expand:winmagic"],
+        ),
+        # Both rewrites refuse: the subquery expansion is the answer.
+        (
+            """SELECT prodName, profitMargin AT (ALL) AS pm
+               FROM EnhancedOrders GROUP BY prodName""",
+            "auto",
+            ["expand:inline", "expand:subquery", "expand:winmagic"],
+        ),
+        (
+            """SELECT prodName, profitMargin AT (WHERE prodName = e.prodName)
+               FROM EnhancedOrders AS e""",
+            "winmagic",
+            ["expand:subquery", "expand:winmagic"],
+        ),
     ]
-    assert attempts, "auto cascade should record expand:* attempt spans"
-    assert all("outcome" in s.meta for s in attempts)
+    for sql, strategy, expected in cases:
+        orders_db.expand(sql, strategy=strategy)
+        profile = orders_db.last_profile()
+        attempts = [
+            s for s in profile.root_span.walk() if s.kind == "expand"
+        ]
+        assert attempts, "auto cascade should record expand:* attempt spans"
+        assert all("outcome" in s.meta for s in attempts)
+        # Each attempt is traced by exactly one span.
+        assert [s.name for s in attempts] == expected, sql

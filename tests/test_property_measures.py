@@ -28,6 +28,20 @@ order_rows = st.lists(
     max_size=25,
 )
 
+#: Like ``order_rows`` but prodName may be NULL, for the tests that compare
+#: evaluation paths (``=`` and ``IS NOT DISTINCT FROM`` part ways on NULL).
+order_rows_null_products = st.lists(
+    st.tuples(
+        st.sampled_from(PRODUCTS + [None]),
+        st.sampled_from(CUSTOMERS),
+        st.integers(2020, 2022),
+        st.integers(1, 100),
+        st.integers(0, 50),
+    ),
+    min_size=1,
+    max_size=25,
+)
+
 
 def make_db(rows, **kwargs) -> Database:
     db = Database(**kwargs)
@@ -76,7 +90,7 @@ def test_aggregate_measure_equals_plain_sql(rows):
 
 
 @settings(max_examples=25, deadline=None)
-@given(order_rows)
+@given(order_rows_null_products)
 def test_interpreter_equals_expansion(rows):
     db = make_db(rows)
     sql = """SELECT prodName, y, AGGREGATE(rev) AS r,
@@ -89,7 +103,7 @@ def test_interpreter_equals_expansion(rows):
 
 
 @settings(max_examples=25, deadline=None)
-@given(order_rows)
+@given(order_rows_null_products)
 def test_cache_on_off_equivalence(rows):
     sql = """SELECT prodName, AGGREGATE(rev) AS r, rev AT (ALL) AS total
              FROM eo GROUP BY prodName"""
@@ -149,7 +163,7 @@ def test_visible_equals_aggregate(rows):
 
 
 @settings(max_examples=25, deadline=None)
-@given(order_rows)
+@given(order_rows_null_products)
 def test_window_strategy_agrees_with_interpreter(rows):
     db = make_db(rows)
     sql = """SELECT prodName, custName, revenue FROM
@@ -157,12 +171,13 @@ def test_window_strategy_agrees_with_interpreter(rows):
                      AVG(revenue) AS MEASURE avgRev FROM Orders) AS o
              WHERE o.revenue >= o.avgRev AT (WHERE prodName = o.prodName)"""
     interpreted = db.execute(sql).rows
+    uncached = make_db(rows, cache=False).execute(sql).rows
     windowed = db.execute(db.expand(sql, strategy="window")).rows
-    assert normalized(interpreted) == normalized(windowed)
+    assert normalized(interpreted) == normalized(uncached) == normalized(windowed)
 
 
 @settings(max_examples=25, deadline=None)
-@given(order_rows)
+@given(order_rows_null_products)
 def test_inline_strategy_agrees_with_interpreter(rows):
     db = make_db(rows)
     sql = """SELECT prodName, AGGREGATE(rev) AS r FROM eo
