@@ -67,4 +67,5 @@ lint:
 validate:
 	REPRO_VALIDATE=1 pytest tests/
 
-all: test lint bench report examples
+# What CI runs: the suites, the gates, and the end-to-end smokes.
+all: test lint bench report examples server-smoke replay-smoke measurebench

@@ -1,9 +1,10 @@
 """F09: progress tracking is zero-cost when off — paper listings with/without.
 
 Live-query observability (`repro_running_queries`, memory budgets) rides the
-executor's 256-row checkpoints.  The hot path hoists one ``watched`` check
-outside the row loops, so with tracking off the per-row cost must be
-indistinguishable from a build that never had the feature.  This module is
+executor's execution monitor, fed at operator boundaries and the 256-row
+checkpoints.  With tracking off no monitor is built and the hot path pays
+one ``is None`` test, so the per-row cost must be indistinguishable from a
+build that never had the feature.  This module is
 the proof: every paper listing is timed twice — ``Database()`` (tracking
 off) and ``Database(track_progress=True)`` (ticks + memory accounting on) —
 and the pair lands in the ``observability`` section of ``BENCH_<date>.json``

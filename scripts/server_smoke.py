@@ -111,7 +111,14 @@ def main() -> int:
 
         failures.extend(check_observability(db, server, host, port))
 
+        # The server closes a session when it reads the client's EOF, a
+        # few ms after the client's close returns; a leaked session never
+        # closes, so waiting up to 5 s still catches one.
+        deadline = time.monotonic() + 5
         open_sessions = server.manager.sessions()
+        while open_sessions and time.monotonic() < deadline:
+            time.sleep(0.01)
+            open_sessions = server.manager.sessions()
         if open_sessions:
             failures.append(
                 f"sessions left open after clients closed: "

@@ -33,6 +33,7 @@ from repro.catalog import Catalog, MaterializedView, TableSchema
 from repro.catalog.schema import Column
 from repro.engine.evaluator import ExecutionContext
 from repro.engine.executor import execute_plan
+from repro.engine.progress import ExecutionMonitor, QueryRegistry, current_query_id
 from repro.errors import (
     BindError,
     CatalogError,
@@ -178,13 +179,13 @@ class Database:
         it implies ``telemetry=True``.
     memory_limit_bytes:
         Per-query memory budget.  The executor accounts estimated bytes of
-        materialized state (operator outputs, hash-join build tables,
-        aggregation buffers) as it runs and raises
+        materialized state it holds (operator outputs until their consumer
+        finishes, hash-join build tables) as it runs and raises
         :class:`~repro.errors.ResourceExhausted` — a graceful, catchable
         error naming the operator — instead of letting a runaway join OOM
         the host.  Setting a limit implies progress tracking.
     track_progress:
-        Maintain a live :class:`~repro.engine.progress.ProgressState` per
+        Register a live :class:`~repro.engine.progress.ExecutionMonitor` per
         query (rows processed, current operator, bytes buffered,
         estimated-vs-actual rows per operator), visible while the query
         runs through the ``repro_running_queries`` / ``repro_query_progress``
@@ -251,8 +252,6 @@ class Database:
         self.last_stats: Optional[ExecutionContext] = None
         #: QueryProfile of the most recent profiled query (see last_profile).
         self._last_profile = None
-        from repro.engine.progress import QueryRegistry
-
         #: Per-query memory budget in bytes; None = unlimited.  Mutable:
         #: the shell's \connect-ed admin can tighten it at runtime.
         self.memory_limit_bytes = memory_limit_bytes
@@ -755,31 +754,35 @@ class Database:
         profile goes back to the caller.  ``cancel_event`` (a
         ``threading.Event``) aborts at the next operator boundary or
         256-row checkpoint with :class:`~repro.errors.QueryCancelled`.
+        An :class:`~repro.engine.progress.ExecutionMonitor` is built only
+        when a profiler, progress tracking or a cancel event is present.
         """
-        progress = self._start_progress(planned) if self._tracks_progress() else None
+        tracked = self._tracks_progress()
+        monitor = None
+        if tracked:
+            monitor = self._start_monitor(planned, profiler, cancel_event)
+        elif profiler is not None or cancel_event is not None:
+            monitor = ExecutionMonitor(profiler=profiler, cancel_event=cancel_event)
         ctx = ExecutionContext(
             self.catalog,
             enable_cache=self.cache_enabled,
             params=params,
             profiler=profiler,
-            cancel_event=cancel_event,
-            progress=progress,
+            monitor=monitor,
         )
         tracer = profiler.tracer if profiler is not None else None
         span = tracer.begin("execute", "phase") if tracer is not None else None
-        if progress is None:
+        if not tracked:
             rows = execute_plan(planned.plan, ctx)
         else:
-            from repro.engine.progress import current_query_id
-
             # current_query_id is how a query over the running-queries
             # tables avoids observing itself in the registry snapshot.
-            query_token = current_query_id.set(progress.query_id)
+            query_token = current_query_id.set(monitor.query_id)
             try:
                 rows = execute_plan(planned.plan, ctx)
             finally:
                 current_query_id.reset(query_token)
-                self.running.finish(progress)
+                self.running.finish(monitor)
         if tracer is not None:
             tracer.end(span)
         self.last_stats = ctx
@@ -816,20 +819,22 @@ class Database:
         # Internal summary refresh/delta queries are never tracked.
         return not self._suppress_summaries and self.progress_enabled()
 
-    def _start_progress(self, planned: PlannedQuery):
+    def _start_monitor(self, planned: PlannedQuery, profiler, cancel_event):
         """Register one tracked execution in the running-query registry."""
         from repro.telemetry import current_session, current_traceparent
 
-        progress = self.running.start(
+        monitor = self.running.start(
             sql=planned.sql or "",
             session_id=current_session.get(),
             traceparent=current_traceparent.get(),
             memory_limit_bytes=self.memory_limit_bytes,
+            profiler=profiler,
+            cancel_event=cancel_event,
         )
         # Pre-register every operator with its dataflow cardinality
         # bounds so estimated-vs-actual rows are observable immediately.
-        progress.attach_plan(planned.plan)
-        return progress
+        monitor.attach_plan(planned.plan)
+        return monitor
 
     def running_queries(self) -> list[dict]:
         """Live progress of every in-flight tracked query, as dicts

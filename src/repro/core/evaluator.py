@@ -162,8 +162,8 @@ def _context_rows(measure, terms: list[Term], ctx: ExecutionContext, env) -> lis
         candidates = [rows[i] for i in candidate_indexes]
     if not other_terms:
         return list(candidates)
-    check = ctx.checkpoint
-    if check is None:
+    monitor = ctx.monitor
+    if monitor is None:
         return [row for row in candidates if _accept(other_terms, row, ctx)]
     # A VISIBLE or semi-join term tests each candidate against a whole
     # group, so one evaluation can run for seconds: cancellation and
@@ -172,7 +172,7 @@ def _context_rows(measure, terms: list[Term], ctx: ExecutionContext, env) -> lis
     kept = []
     for index, row in enumerate(candidates):
         if not index & 0xFF:
-            check(source, len(kept))
+            monitor.checkpoint(source, len(kept))
         if _accept(other_terms, row, ctx):
             kept.append(row)
     return kept
@@ -254,10 +254,7 @@ def source_rows_for(
     from repro.engine.executor import execute_plan
 
     plan = measure.group.source_plan
-    cache = getattr(ctx, "source_rows_cache", None)
-    if cache is None:
-        cache = {}
-        ctx.source_rows_cache = cache
+    cache = ctx.source_rows_cache
     key = id(plan)
     if key not in cache:
         # Source plans are self-contained (the defining query's FROM/WHERE),

@@ -7,8 +7,8 @@ semantics needs.
 
 :class:`ExecutionContext` carries per-execution state: the catalog, the
 correlated-subquery memo cache and the measure memo cache (the paper's
-"localized self-join" strategy, section 5.1), plus counters that the
-benchmarks read.
+"localized self-join" strategy, section 5.1), counters that the
+benchmarks read, and the optional profiler and execution monitor.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import datetime
 from typing import Any, Optional
 
-from repro.errors import ExecutionError, QueryCancelled
+from repro.errors import ExecutionError
 from repro.semantics import bound as b
 from repro.types import (
     BOOLEAN,
@@ -64,32 +64,21 @@ class ExecutionContext:
         enable_cache: bool = True,
         params=(),
         profiler=None,
-        cancel_event=None,
-        progress=None,
+        monitor=None,
     ):
         self.catalog = catalog
         self.enable_cache = enable_cache
         self.params = tuple(params)
-        #: Optional :class:`repro.profile.Profiler`.  None (the default)
-        #: means every instrumentation site is a single attribute check;
-        #: no timers run and no spans are allocated.
+        #: Optional :class:`repro.profile.Profiler` for phase and measure
+        #: spans and engine-wide counters.  None (the default) means every
+        #: such site is a single attribute check.
         self.profiler = profiler
-        #: Optional :class:`threading.Event`; when set, execution raises
-        #: :class:`~repro.errors.QueryCancelled` at the next operator
-        #: boundary (the server's ``cancel`` op, see :mod:`repro.server`).
-        self.cancel_event = cancel_event
-        #: Optional :class:`repro.engine.progress.ProgressState`: live
-        #: rows-processed / current-operator / memory accounting, updated
-        #: at operator boundaries and the 256-row checkpoints.  Same
-        #: zero-cost-when-off discipline as the profiler: None means one
-        #: attribute check per operator.
-        self.progress = progress
-        #: ``checkpoint(plan, buffered_rows)``, called every 256 rows by
-        #: the long loops (executor operators, the measure evaluator's
-        #: context filter): raises QueryCancelled once ``cancel_event`` is
-        #: set and ticks ``progress``.  None when neither is attached, so
-        #: an unwatched loop pays one local test per row.
-        self.checkpoint = _checkpoint(cancel_event, progress)
+        #: Optional :class:`repro.engine.progress.ExecutionMonitor`, the
+        #: executor's one instrumentation hook: cancellation, per-operator
+        #: records, live progress and the memory budget, fed at operator
+        #: boundaries and the 256-row checkpoints of the long loops.  None
+        #: (a bare execution) means one ``is None`` test per operator.
+        self.monitor = monitor
         self.subquery_cache: dict = {}
         self.measure_cache: dict = {}
         self.source_rows_cache: dict = {}
@@ -115,19 +104,6 @@ class ExecutionContext:
         self.rows_scanned = 0
         self.hash_joins = 0
         self.nested_loop_joins = 0
-
-
-def _checkpoint(cancel_event, progress):
-    if cancel_event is None:
-        return None if progress is None else progress.tick
-
-    def checkpoint(plan, buffered_rows: int) -> None:
-        if cancel_event.is_set():
-            raise QueryCancelled("query cancelled")
-        if progress is not None:
-            progress.tick(plan, buffered_rows)
-
-    return checkpoint
 
 
 def _attach_span(exc: ExecutionError, expr: b.BoundExpr) -> ExecutionError:
@@ -278,17 +254,17 @@ def _evaluate_subquery(expr: b.BoundSubquery, env: EvalEnv, ctx: ExecutionContex
             cache_key = None
         except TypeError:
             cache_key = None
-        if cache_key is not None and cache_key in ctx.subquery_cache:
-            ctx.subquery_cache_hits += 1
-            rows = ctx.subquery_cache[cache_key]
-        else:
-            rows = execute_plan(expr.plan, ctx, env)
-            ctx.subquery_executions += 1
-            if cache_key is not None:
-                ctx.subquery_cache[cache_key] = rows
+    if cache_key is not None and cache_key in ctx.subquery_cache:
+        ctx.subquery_cache_hits += 1
+        rows = ctx.subquery_cache[cache_key]
     else:
         rows = execute_plan(expr.plan, ctx, env)
         ctx.subquery_executions += 1
+        if cache_key is not None:
+            ctx.subquery_cache[cache_key] = rows
+        elif ctx.monitor is not None:
+            # No memo keeps these rows past this call.
+            ctx.monitor.release(expr.plan, rows)
 
     if expr.kind == "EXISTS":
         found = bool(rows)
@@ -330,7 +306,7 @@ def evaluate_formula(
     parts (nested measures).
     """
     if isinstance(formula, b.BoundAggCall):
-        return _run_aggregate(formula, rows, env, ctx)
+        return run_aggregate(formula, rows, env, ctx)
     if isinstance(formula, b.BoundCall):
         args = [evaluate_formula(arg, rows, env, ctx) for arg in formula.args]
         return _call_function(formula, args)
@@ -378,7 +354,7 @@ def evaluate_formula(
     )
 
 
-def _run_aggregate(
+def run_aggregate(
     call: b.BoundAggCall,
     rows: list[tuple],
     env: Optional[EvalEnv],

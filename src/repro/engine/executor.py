@@ -9,12 +9,12 @@ returns a list of tuples.  Correlated subqueries re-enter through
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Optional
 
 from repro.catalog.objects import BaseTable, SystemTable
-from repro.engine.evaluator import EvalEnv, ExecutionContext, evaluate
+from repro.engine.evaluator import EvalEnv, ExecutionContext, evaluate, run_aggregate
 from repro.engine.window import compute_window_column
-from repro.errors import ExecutionError, QueryCancelled
+from repro.errors import ExecutionError
 from repro.plan import logical as plans
 from repro.semantics import bound as b
 
@@ -28,39 +28,27 @@ def execute_plan(
 ) -> list[tuple]:
     """Execute ``plan`` and return its rows.
 
-    With a profiler attached, every operator execution is bracketed by an
-    operator span and accumulates per-node metrics (rows in/out, calls,
-    wall time); without one, the only overhead is a single ``is None``
-    check per operator execution.
+    With an :class:`~repro.engine.progress.ExecutionMonitor` attached (a
+    profiler, progress tracking or a cancel event), every operator
+    execution is bracketed by its ``enter``/``exit``/``abort`` calls;
+    without one, the only overhead is a single ``is None`` check per
+    operator execution.  Correlated subqueries re-enter here, so a cancel
+    lands at every boundary even inside a long nested-loop join.
     """
     method = _DISPATCH.get(type(plan))
     if method is None:
         raise ExecutionError(f"cannot execute {type(plan).__name__}")
-    # Cancellation lands at operator boundaries: one flag check per
-    # operator execution (correlated subqueries re-enter here, so a long
-    # nested-loop join still observes the flag frequently).
-    if ctx.cancel_event is not None and ctx.cancel_event.is_set():
-        raise QueryCancelled("query cancelled")
-    progress = ctx.progress
-    if progress is not None:
-        progress.enter_operator(plan)
-    profiler = ctx.profiler
-    if profiler is None:
-        rows = method(plan, ctx, outer_env)
-        if progress is not None:
-            progress.exit_operator(plan, rows)
-        return rows
-    token = profiler.enter_operator(plan)
+    monitor = ctx.monitor
+    if monitor is None:
+        return method(plan, ctx, outer_env)
+    frame = monitor.enter(plan)
     try:
         rows = method(plan, ctx, outer_env)
-        if progress is not None:
-            # Inside the try: a memory budget breach here aborts the
-            # operator span, stamping the failure onto the trace.
-            progress.exit_operator(plan, rows)
+        # Inside the try: a budget breach on exit aborts the operator.
+        monitor.exit(frame, rows)
     except BaseException:
-        profiler.abort_operator(token)
+        monitor.abort(frame)
         raise
-    profiler.exit_operator(token, len(rows))
     return rows
 
 
@@ -127,13 +115,13 @@ def _execute_values(plan: plans.ValuesPlan, ctx: ExecutionContext, outer_env) ->
 def _execute_filter(plan: plans.Filter, ctx: ExecutionContext, outer_env) -> list[tuple]:
     rows = execute_plan(plan.input, ctx, outer_env)
     kept = []
-    check = ctx.checkpoint
+    monitor = ctx.monitor
     for index, row in enumerate(rows):
         # Predicate loops dominate long queries, so cancellation and
         # progress ticks land here too (every 256 rows), not just at
         # operator boundaries.
-        if check is not None and not index & 0xFF:
-            check(plan, len(kept))
+        if monitor is not None and not index & 0xFF:
+            monitor.checkpoint(plan, len(kept))
         env = EvalEnv(row, outer_env)
         if evaluate(plan.predicate, env, ctx) is True:
             kept.append(row)
@@ -156,11 +144,11 @@ def _execute_join(plan: plans.Join, ctx: ExecutionContext, outer_env) -> list[tu
     right_width = len(plan.right.schema)
     output: list[tuple] = []
 
-    check = ctx.checkpoint
+    monitor = ctx.monitor
     if plan.kind == "CROSS":
         for index, left in enumerate(left_rows):
-            if check is not None and not index & 0xFF:
-                check(plan, len(output))
+            if monitor is not None and not index & 0xFF:
+                monitor.checkpoint(plan, len(output))
             for right in right_rows:
                 output.append(left + right)
         return output
@@ -177,10 +165,8 @@ def _execute_join(plan: plans.Join, ctx: ExecutionContext, outer_env) -> list[tu
         )
 
     ctx.nested_loop_joins += 1
-    if ctx.profiler is not None:
-        ctx.profiler.operator_count(
-            plan, "comparisons", len(left_rows) * len(right_rows)
-        )
+    if ctx.monitor is not None:
+        ctx.monitor.count("comparisons", len(left_rows) * len(right_rows))
     return _nested_loop(
         plan, left_rows, right_rows, left_width, right_width, ctx, outer_env
     )
@@ -190,12 +176,12 @@ def _nested_loop(
     plan, left_rows, right_rows, left_width, right_width, ctx, outer_env
 ) -> list[tuple]:
     """Nested-loop join with outer-join padding (any join condition)."""
-    check = ctx.checkpoint
+    monitor = ctx.monitor
     output: list[tuple] = []
     right_matched = [False] * len(right_rows)
     for left_index, left in enumerate(left_rows):
-        if check is not None and not left_index & 0xFF:
-            check(plan, len(output))
+        if monitor is not None and not left_index & 0xFF:
+            monitor.checkpoint(plan, len(output))
         matched = False
         for right_index, right in enumerate(right_rows):
             combined = left + right
@@ -278,14 +264,14 @@ def _hash_join(
     outer_env,
 ) -> list[tuple]:
     """Equi-hash join with residual predicate and outer-join padding."""
-    if ctx.profiler is not None:
-        ctx.profiler.operator_count(plan, "hash_build_rows", len(right_rows))
-        ctx.profiler.operator_count(plan, "hash_probes", len(left_rows))
-    check = ctx.checkpoint
+    monitor = ctx.monitor
+    if monitor is not None:
+        monitor.count("hash_build_rows", len(right_rows))
+        monitor.count("hash_probes", len(left_rows))
     table: dict[tuple, list[int]] = {}
     for index, right in enumerate(right_rows):
-        if check is not None and not index & 0xFF:
-            check(plan, index)
+        if monitor is not None and not index & 0xFF:
+            monitor.checkpoint(plan, index)
         key = tuple(right[r] for _, r in equi_keys)
         if any(k is None for k in key):
             continue  # NULL keys never match under SQL '='
@@ -296,17 +282,16 @@ def _hash_join(
             return _nested_loop(
                 plan, left_rows, right_rows, left_width, right_width, ctx, outer_env
             )
-    progress = ctx.progress
-    if progress is not None and right_rows:
+    if monitor is not None and right_rows:
         # The build table holds one key tuple + list slot per non-NULL
         # build row; 64 bytes/entry approximates that bucket state.
-        progress.account_bytes(plan, 64 * len(right_rows))
+        monitor.account(64 * len(right_rows))
 
     output: list[tuple] = []
     right_matched = [False] * len(right_rows)
     for probe_index, left in enumerate(left_rows):
-        if check is not None and not probe_index & 0xFF:
-            check(plan, len(output))
+        if monitor is not None and not probe_index & 0xFF:
+            monitor.checkpoint(plan, len(output))
         key = tuple(left[l] for l, _ in equi_keys)
         matched = False
         if not any(k is None for k in key):
@@ -331,18 +316,16 @@ def _hash_join(
 
 
 def _execute_aggregate(plan: plans.Aggregate, ctx: ExecutionContext, outer_env) -> list[tuple]:
-    from repro.engine.aggregates import make_accumulator
-
     input_rows = execute_plan(plan.input, ctx, outer_env)
     key_count = len(plan.group_exprs)
     output: list[tuple] = []
 
     # Pre-compute every group expression once per input row.
-    check = ctx.checkpoint
+    monitor = ctx.monitor
     keyed_rows: list[tuple[tuple, tuple]] = []
     for row_index, row in enumerate(input_rows):
-        if check is not None and not row_index & 0xFF:
-            check(plan, len(keyed_rows))
+        if monitor is not None and not row_index & 0xFF:
+            monitor.checkpoint(plan, len(keyed_rows))
         env = EvalEnv(row, outer_env)
         keys = tuple(evaluate(expr, env, ctx) for expr in plan.group_exprs)
         keyed_rows.append((keys, row))
@@ -373,7 +356,7 @@ def _execute_aggregate(plan: plans.Aggregate, ctx: ExecutionContext, outer_env) 
                 key_by_position.get(i) for i in range(key_count)
             )
             agg_values = tuple(
-                _accumulate(call, group_rows, outer_env, ctx)
+                run_aggregate(call, group_rows, outer_env, ctx)
                 for call in plan.agg_calls
             )
             row_out: tuple = out_keys + agg_values
@@ -382,20 +365,9 @@ def _execute_aggregate(plan: plans.Aggregate, ctx: ExecutionContext, outer_env) 
             if plan.capture_rows:
                 row_out += (tuple(group_rows),)
             output.append(row_out)
-    if ctx.profiler is not None:
-        ctx.profiler.operator_count(plan, "groups", len(output))
+    if ctx.monitor is not None:
+        ctx.monitor.count("groups", len(output))
     return output
-
-
-def _accumulate(
-    call: b.BoundAggCall,
-    rows: list[tuple],
-    outer_env: Optional[EvalEnv],
-    ctx: ExecutionContext,
-) -> Any:
-    from repro.engine.evaluator import _run_aggregate
-
-    return _run_aggregate(call, rows, outer_env, ctx)
 
 
 def _execute_window(plan: plans.Window, ctx: ExecutionContext, outer_env) -> list[tuple]:

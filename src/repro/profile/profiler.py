@@ -3,15 +3,17 @@
 
 A :class:`Profiler` rides on the
 :class:`~repro.engine.evaluator.ExecutionContext` of one query execution.
-The executor calls :meth:`Profiler.enter_operator` / ``exit_operator``
-around every plan-operator execution; operator bodies add specific counters
-through :meth:`Profiler.operator_count`; the measure evaluator brackets each
-measure-context evaluation with :meth:`enter_measure` / ``exit_measure``;
-phase timing (parse, rewrite, bind, optimize, execute) goes through the
-embedded :class:`~repro.profile.tracer.Tracer`.
+Phase timing (parse, rewrite, bind, optimize, execute) goes through the
+embedded :class:`~repro.profile.tracer.Tracer`; the measure evaluator
+brackets each measure-context evaluation with :meth:`enter_measure` /
+``exit_measure``; engine-wide counters go through :meth:`bump`.  Operators
+are observed by the execution's
+:class:`~repro.engine.progress.ExecutionMonitor`, which times them and
+opens their spans on this profiler's tracer.
 
-When the query finishes, :meth:`Profiler.finish` freezes everything into a
-:class:`QueryProfile` — plain data, safe to keep after the plan and the
+When the query finishes, :meth:`Profiler.finish` freezes everything,
+the operator tree from the monitor's records included, into a
+:class:`QueryProfile`: plain data, safe to keep after the plan and the
 execution context are gone, with a stable ``to_dict()``/``to_json()``
 serialization (the schema ``BENCH_*.json`` snapshots embed).
 """
@@ -20,12 +22,12 @@ from __future__ import annotations
 
 import json
 import time
-from typing import Any, Optional
+from typing import Optional
 
-from repro.profile.metrics import OperatorMetrics
+from repro.engine.progress import OperatorRecord
 from repro.profile.tracer import Span, Tracer
 
-__all__ = ["Profiler", "QueryProfile"]
+__all__ = ["Profiler", "QueryProfile", "describe_operator"]
 
 #: ExecutionContext counters copied into every profile, in report order.
 _CTX_COUNTERS = (
@@ -40,32 +42,18 @@ _CTX_COUNTERS = (
 
 
 class Profiler:
-    """Collects spans, operator metrics, and counters for one query."""
+    """Collects phase and measure spans and engine counters for one query."""
 
-    __slots__ = (
-        "tracer",
-        "operators",
-        "measures",
-        "counters",
-        "_plans",
-        "_op_stack",
-        "_clock",
-    )
+    __slots__ = ("tracer", "measures", "counters", "clock")
 
     def __init__(self, *, max_spans: int = 20_000, clock=time.perf_counter_ns):
         self.tracer = Tracer(max_spans=max_spans, clock=clock)
-        #: id(plan node) -> OperatorMetrics.
-        self.operators: dict[int, OperatorMetrics] = {}
         #: measure name -> {"evaluations", "cache_hits", "time_ns"}.
         self.measures: dict[str, dict[str, int]] = {}
         #: Engine-wide counters outside any one operator (window partitions,
         #: aggregate invocations, context terms by kind, ...).
         self.counters: dict[str, int] = {}
-        #: Pins plan nodes keyed by id() for the profiler's lifetime, so a
-        #: recycled id can never alias two operators' metrics.
-        self._plans: dict[int, Any] = {}
-        self._op_stack: list[tuple[Any, OperatorMetrics]] = []
-        self._clock = clock
+        self.clock = clock
 
     # -- phases --------------------------------------------------------------
 
@@ -73,63 +61,11 @@ class Profiler:
         """``with profiler.phase("bind"):`` — one top-level phase span."""
         return self.tracer.span(name, "phase")
 
-    # -- operators -----------------------------------------------------------
-
-    def enter_operator(self, plan) -> tuple:
-        """Called by the executor before running ``plan``; returns a token
-        for the matching :meth:`exit_operator` / :meth:`abort_operator`."""
-        key = id(plan)
-        metrics = self.operators.get(key)
-        if metrics is None:
-            metrics = OperatorMetrics(plan.label())
-            self.operators[key] = metrics
-            self._plans[key] = plan
-        span = self.tracer.begin(plan.label(), "operator")
-        self._op_stack.append((plan, metrics))
-        return (plan, metrics, span, self._clock())
-
-    def exit_operator(self, token: tuple, rows_out: int) -> None:
-        plan, metrics, span, start_ns = token
-        metrics.calls += 1
-        metrics.rows_out += rows_out
-        metrics.batches += 1
-        metrics.time_ns += self._clock() - start_ns
-        self._op_stack.pop()
-        if self._op_stack:
-            parent_plan, parent_metrics = self._op_stack[-1]
-            # Only direct plan inputs feed a parent's rows_in; a subquery
-            # plan executed from inside an expression does not.
-            if any(child is plan for child in parent_plan.inputs()):
-                parent_metrics.rows_in += rows_out
-        if span is not None:
-            span.meta["rows"] = rows_out
-            self.tracer.end(span)
-
-    def abort_operator(self, token: tuple) -> None:
-        """Unwind bookkeeping when an operator raises."""
-        plan, metrics, span, start_ns = token
-        metrics.calls += 1
-        metrics.time_ns += self._clock() - start_ns
-        metrics.count("errors")
-        self._op_stack.pop()
-        if span is not None:
-            span.meta["error"] = True
-            self.tracer.end(span)
-
-    def operator_count(self, plan, key: str, amount: int = 1) -> None:
-        """Add an operator-specific counter (hash_probes, groups, ...)."""
-        metrics = self.operators.get(id(plan))
-        if metrics is None:
-            metrics = OperatorMetrics(plan.label())
-            self.operators[id(plan)] = metrics
-            self._plans[id(plan)] = plan
-        metrics.count(key, amount)
-
     # -- measures ------------------------------------------------------------
 
     def enter_measure(self, name: str) -> tuple:
         span = self.tracer.begin(f"measure:{name}", "measure")
-        return (name, span, self._clock())
+        return (name, span, self.clock())
 
     def exit_measure(self, token: tuple, *, cache_hit: bool) -> None:
         name, span, start_ns = token
@@ -140,7 +76,7 @@ class Profiler:
         entry["evaluations"] += 1
         if cache_hit:
             entry["cache_hits"] += 1
-        entry["time_ns"] += self._clock() - start_ns
+        entry["time_ns"] += self.clock() - start_ns
         if span is not None:
             span.meta["cache"] = "hit" if cache_hit else "miss"
             self.tracer.end(span)
@@ -159,9 +95,12 @@ class Profiler:
         result_rows: Optional[int] = None,
         sql: Optional[str] = None,
     ) -> "QueryProfile":
-        """Close all spans and freeze into a :class:`QueryProfile`."""
+        """Close all spans and freeze into a :class:`QueryProfile`; with
+        ``plan``, the operator tree comes from ``ctx.monitor``'s records."""
         root = self.tracer.finish()
-        operator_tree = self._freeze_tree(plan) if plan is not None else None
+        operator_tree = (
+            None if plan is None else _freeze_tree(plan, ctx.monitor)
+        )
         counters = dict(self.counters)
         if ctx is not None:
             for name in _CTX_COUNTERS:
@@ -187,23 +126,25 @@ class Profiler:
             spans_dropped=spans_dropped,
         )
 
-    def _freeze_tree(self, plan) -> dict:
-        metrics = self.operators.get(id(plan))
-        if metrics is None:  # operator never executed (planned but skipped)
-            metrics = OperatorMetrics(plan.label())
-        node = metrics.to_dict()
-        facts = getattr(plan, "facts", None)
-        if facts is not None:
-            # Static dataflow annotations (repro.analysis.dataflow), frozen
-            # next to the observed metrics so a profile carries both the
-            # predicted bounds and what actually happened.
-            from repro.analysis.dataflow import facts_summary
 
-            node["facts"] = facts_summary(facts)
-        children = [self._freeze_tree(child) for child in plan.inputs()]
-        if children:
-            node["children"] = children
-        return node
+
+def _freeze_tree(plan, monitor) -> dict:
+    record = monitor.record(plan)
+    if record is None:  # operator never executed (planned but skipped)
+        record = OperatorRecord(0, plan.label())
+    node = record.to_dict()
+    facts = getattr(plan, "facts", None)
+    if facts is not None:
+        # Static dataflow annotations (repro.analysis.dataflow), frozen
+        # next to the observed metrics so a profile carries both the
+        # predicted bounds and what actually happened.
+        from repro.analysis.dataflow import facts_summary
+
+        node["facts"] = facts_summary(facts)
+    children = [_freeze_tree(child, monitor) for child in plan.inputs()]
+    if children:
+        node["children"] = children
+    return node
 
 
 class QueryProfile:
@@ -279,15 +220,8 @@ class QueryProfile:
         return self._render_node(self.operator_tree, 0, timing)
 
     def _render_node(self, node: dict, indent: int, timing: bool) -> list[str]:
-        parts = [f"rows={node['rows_out']}", f"calls={node['calls']}"]
-        if node["rows_in"]:
-            parts.append(f"rows_in={node['rows_in']}")
-        if timing:
-            parts.append(f"time={node['time_ms']:.3f}ms")
-        for key, value in sorted(node.get("counters", {}).items()):
-            parts.append(f"{key}={value}")
-        line = f"{'  ' * indent}{node['label']} ({' '.join(parts)})"
-        lines = [line]
+        annotation = describe_operator(node, timing=timing)
+        lines = [f"{'  ' * indent}{node['label']} {annotation}"]
         for child in node.get("children", ()):
             lines.extend(self._render_node(child, indent + 1, timing))
         return lines
@@ -328,3 +262,16 @@ class QueryProfile:
             f"QueryProfile(rows={self.result_rows}, total={self.total_ms:.3f}ms,"
             f" operators={len(self.plan_lines())})"
         )
+
+
+def describe_operator(node: dict, *, timing: bool = True) -> str:
+    """The ``(rows=... )`` annotation EXPLAIN ANALYZE appends to one
+    operator-tree node."""
+    parts = [f"rows={node['rows_out']}", f"calls={node['calls']}"]
+    if node["rows_in"]:
+        parts.append(f"rows_in={node['rows_in']}")
+    if timing:
+        parts.append(f"time={node['time_ms']:.3f}ms")
+    for key, value in sorted(node.get("counters", {}).items()):
+        parts.append(f"{key}={value}")
+    return "(" + " ".join(parts) + ")"

@@ -9,7 +9,9 @@ import re
 import pytest
 
 from repro import Database, SqlError
-from repro.profile import OperatorMetrics, Profiler, Span, Tracer
+from repro.engine.progress import OperatorRecord
+from repro.profile import Profiler, Span, Tracer
+from repro.profile.profiler import describe_operator
 
 
 # -- tracer: span nesting, budget, serialization ------------------------------
@@ -89,17 +91,17 @@ def test_span_contextmanager():
 
 
 def test_operator_metrics_describe():
-    metrics = OperatorMetrics("Scan(t)")
-    metrics.calls = 2
-    metrics.rows_out = 10
-    metrics.rows_in = 4
-    metrics.time_ns = 1_500_000
-    metrics.count("hash_probes", 7)
-    text = metrics.describe()
+    record = OperatorRecord(1, "Scan(t)")
+    record.calls = 2
+    record.rows_out = 10
+    record.rows_in = 4
+    record.time_ns = 1_500_000
+    record.count("hash_probes", 7)
+    text = describe_operator(record.to_dict())
     assert "rows=10" in text and "calls=2" in text
     assert "rows_in=4" in text and "hash_probes=7" in text
     assert "time=1.500ms" in text
-    assert "time=" not in metrics.describe(timing=False)
+    assert "time=" not in describe_operator(record.to_dict(), timing=False)
 
 
 def test_profiler_counts_per_operator(paper_db):
@@ -185,6 +187,23 @@ def test_execution_context_defaults_to_no_profiler(db):
     db.execute("INSERT INTO t VALUES (1)")
     db.execute("SELECT x FROM t")
     assert db.last_stats.profiler is None
+
+
+def test_bare_database_builds_no_execution_monitor(db, monkeypatch):
+    """With no profiler, progress tracking or cancel event, the executor
+    runs without an ExecutionMonitor: one ``is None`` test per operator."""
+    import repro.api
+    import repro.engine.progress
+
+    def boom(*args, **kwargs):
+        raise AssertionError("ExecutionMonitor constructed on a bare Database")
+
+    monkeypatch.setattr(repro.api, "ExecutionMonitor", boom)
+    monkeypatch.setattr(repro.engine.progress.ExecutionMonitor, "__init__", boom)
+    db.execute("CREATE TABLE t (x INTEGER)")
+    db.execute("INSERT INTO t VALUES (1)")
+    assert db.query("SELECT x FROM t").rows == [(1,)]
+    assert db.last_stats.monitor is None
 
 
 # -- Database(profile=True) / last_profile ------------------------------------

@@ -19,7 +19,7 @@ import urllib.request
 import pytest
 
 from repro.api import Database
-from repro.engine.progress import ProgressState, QueryRegistry
+from repro.engine.progress import ExecutionMonitor, QueryRegistry
 from repro.errors import ResourceExhausted
 from repro.server import ClientError, ServerThread, connect
 from repro.workloads.tpch import TPCH_QUERIES, tpch_measure_database
@@ -141,7 +141,7 @@ class TestProgressState:
         from repro.analysis.dataflow import analyze_plan
 
         analyze_plan(planned.plan, db.catalog)
-        state = ProgressState("q1")
+        state = ExecutionMonitor("q1")
         state.attach_plan(planned.plan)
         rows = state.operator_rows()
         # Every operator pre-registered, pending, with dataflow bounds.
@@ -155,7 +155,7 @@ class TestProgressState:
         # Tracked execution through the Database shows actuals; here we
         # drive the state directly for determinism.
         for node in planned.plan.walk():
-            state.enter_operator(node)
+            state.enter(node)
         assert state.current_operator
 
     def test_registry_snapshot_excludes_the_observer(self):
@@ -173,7 +173,7 @@ class TestProgressState:
         assert registry.started_total == 2
 
     def test_tick_accounts_against_the_budget(self):
-        state = ProgressState("q1", memory_limit_bytes=1000)
+        state = ExecutionMonitor("q1", memory_limit_bytes=1000)
 
         class FakePlan:
             def label(self):
@@ -182,12 +182,15 @@ class TestProgressState:
             def walk(self):
                 yield self
 
+            def inputs(self):
+                return iter(())
+
         plan = FakePlan()
         state.attach_plan(plan)
         with pytest.raises(ResourceExhausted):
             # 256 buffered rows at the default 80-byte estimate blows a
             # 1000-byte budget on the first checkpoint.
-            state.tick(plan, buffered_rows=256)
+            state.checkpoint(plan, buffered_rows=256)
 
     def test_finished_query_leaves_the_registry(self):
         db = Database(track_progress=True)
